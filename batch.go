@@ -1,37 +1,5 @@
 package querycause
 
-import (
-	"context"
-
-	"github.com/querycause/querycause/internal/core"
-)
-
-// BatchOptions configures the parallel explanation entry points.
-//
-// Deprecated: the Session API folds these knobs into functional
-// options — WithParallelism and WithMode on Open/Dial or per call.
-type BatchOptions struct {
-	// Parallelism is the worker count. Values <= 0 mean
-	// runtime.GOMAXPROCS(0); 1 forces the serial path.
-	Parallelism int
-	// Mode selects the responsibility strategy. The zero value is
-	// ModeAuto.
-	Mode Mode
-}
-
-// RankParallel is Rank computed by a pool of workers fanning out across
-// the causes: each worker explains causes independently over the shared
-// immutable lineage, using a private copy of the Algorithm 1 flow
-// network on the polynomial side of the dichotomy and the pure exact
-// solver on the NP-hard side. The ranking is byte-identical to Rank
-// (same causes, same ρ, same order) for every parallelism degree; ctx
-// cancels between per-cause computations.
-//
-// Deprecated: use Ranking.Rank(ctx, WithParallelism(n)) on a Session.
-func (e *Explainer) RankParallel(ctx context.Context, opts BatchOptions) ([]Explanation, error) {
-	return e.eng.RankAllParallel(ctx, opts.Mode, core.ParallelOptions{Workers: opts.Parallelism})
-}
-
 // BatchRequest names one answer or non-answer of a workload to explain.
 type BatchRequest struct {
 	// Query is the conjunctive query; it may be Boolean (no Answer).
@@ -49,43 +17,4 @@ type BatchResult struct {
 	Request      BatchRequest
 	Explanations []Explanation
 	Err          error
-}
-
-// ExplainAll explains many answers and non-answers of one database in a
-// single call, fanning the requests out across a worker pool of
-// opts.Parallelism workers. Results are returned in request order and
-// are byte-identical to the serial per-request ranking at the same
-// opts.Mode (WhySo/WhyNo + Rank when opts.Mode is ModeAuto, the
-// default). When the batch has fewer requests than workers, the
-// leftover budget flows into ranking each request's causes
-// concurrently, so a single-request batch behaves like RankParallel
-// with the full worker count.
-//
-// ExplainAll returns a non-nil error only when ctx is canceled before
-// the batch completes; per-request failures land in BatchResult.Err.
-//
-// ExplainAll is a thin wrapper over the engine-level batch runner in
-// internal/core, which the querycaused server shares: the server plugs
-// a cache-backed engine factory into the same fan-out, so library and
-// server batches have identical semantics.
-//
-// Deprecated: use Session.ExplainAll(ctx, reqs, opts...), which runs
-// the same fan-out on either transport.
-func ExplainAll(ctx context.Context, db *Database, reqs []BatchRequest, opts BatchOptions) ([]BatchResult, error) {
-	creqs := make([]core.BatchRequest, len(reqs))
-	for i, r := range reqs {
-		creqs[i] = core.BatchRequest{Query: r.Query, Answer: r.Answer, WhyNo: r.WhyNo}
-	}
-	cres, err := core.ExplainBatch(ctx, db, creqs, core.BatchRunOptions{
-		Workers: opts.Parallelism,
-		Mode:    opts.Mode,
-	})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]BatchResult, len(reqs))
-	for i, r := range cres {
-		results[i] = BatchResult{Request: reqs[i], Explanations: r.Explanations, Err: r.Err}
-	}
-	return results, nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestExplainAllMatchesSerial batches every answer of the genre query
-// on a synthetic IMDB and checks each ranking against the serial
+// on a synthetic IMDB and checks each ranking against the one-worker
 // WhySo+Rank path, at several parallelism degrees.
 func TestExplainAllMatchesSerial(t *testing.T) {
 	db := imdb.Synthetic(imdb.Config{Seed: 7, Directors: 40})
@@ -28,17 +28,11 @@ func TestExplainAllMatchesSerial(t *testing.T) {
 	want := make([][]qc.Explanation, len(ans))
 	for i, a := range ans {
 		reqs = append(reqs, qc.BatchRequest{Query: q, Answer: a.Values})
-		ex, err := qc.WhySo(db, q, a.Values...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i], err = ex.Rank()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want[i] = localRank(t, db, q, a.Values...)
 	}
+	sess := openLocal(t, db)
 	for _, par := range []int{0, 1, 3} {
-		results, err := qc.ExplainAll(context.Background(), db, reqs, qc.BatchOptions{Parallelism: par})
+		results, err := sess.ExplainAll(context.Background(), reqs, qc.WithParallelism(par))
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -80,7 +74,7 @@ func TestExplainAllMixedAndErrors(t *testing.T) {
 		{Query: boolQ},
 		{Query: headQ, Answer: []qc.Value{"a", "b"}}, // arity mismatch
 	}
-	results, err := qc.ExplainAll(context.Background(), whyNoDB, reqs, qc.BatchOptions{Parallelism: 2})
+	results, err := openLocal(t, whyNoDB).ExplainAll(context.Background(), reqs, qc.WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +90,16 @@ func TestExplainAllMixedAndErrors(t *testing.T) {
 }
 
 // TestExplainAllSingleRequest checks the degenerate one-request batch
-// (which hands its worker budget to RankParallel) and empty batches.
+// (which hands its whole worker budget to ranking that request's
+// causes) and empty batches.
 func TestExplainAllSingleRequest(t *testing.T) {
 	db, _ := imdb.Micro()
 	q := imdb.GenreQuery()
-	ex, err := qc.WhySo(db, q, "Musical")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ex.MustRank()
+	want := localRank(t, db, q, "Musical")
 
-	results, err := qc.ExplainAll(context.Background(), db,
-		[]qc.BatchRequest{{Query: q, Answer: []qc.Value{"Musical"}}}, qc.BatchOptions{Parallelism: 4})
+	sess := openLocal(t, db)
+	results, err := sess.ExplainAll(context.Background(),
+		[]qc.BatchRequest{{Query: q, Answer: []qc.Value{"Musical"}}}, qc.WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +107,7 @@ func TestExplainAllSingleRequest(t *testing.T) {
 		t.Fatalf("single-request batch diverged from serial (err=%v)", results[0].Err)
 	}
 
-	empty, err := qc.ExplainAll(context.Background(), db, nil, qc.BatchOptions{})
+	empty, err := sess.ExplainAll(context.Background(), nil)
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(empty))
 	}
@@ -131,36 +123,7 @@ func TestExplainAllCancellation(t *testing.T) {
 		{Query: q, Answer: []qc.Value{"Musical"}},
 		{Query: q, Answer: []qc.Value{"Musical"}},
 	}
-	if _, err := qc.ExplainAll(ctx, db, reqs, qc.BatchOptions{Parallelism: 2}); err != context.Canceled {
+	if _, err := openLocal(t, db).ExplainAll(ctx, reqs, qc.WithParallelism(2)); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
-// TestRankParallelExplainer checks the Explainer-level entry point
-// against Rank, including an explicit mode.
-func TestRankParallelExplainer(t *testing.T) {
-	db, _ := imdb.Micro()
-	ex, err := qc.WhySo(db, imdb.GenreQuery(), "Musical")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ex.MustRank()
-	got, err := ex.RankParallel(context.Background(), qc.BatchOptions{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("RankParallel diverged from Rank")
-	}
-	wantExact, err := ex.ResponsibilityMode(want[0].Tuple, qc.ModeExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotExact, err := ex.RankParallel(context.Background(), qc.BatchOptions{Parallelism: 4, Mode: qc.ModeExact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotExact[0].Rho != wantExact.Rho {
-		t.Fatalf("ModeExact top ρ: got %v, want %v", gotExact[0].Rho, wantExact.Rho)
 	}
 }

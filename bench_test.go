@@ -38,15 +38,10 @@ func BenchmarkE2_Fig2IMDBRanking(b *testing.B) {
 	b.Run("micro", func(b *testing.B) {
 		db, _ := imdb.Micro()
 		q := imdb.GenreQuery()
+		sess := openLocal(b, db)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ex, err := qc.WhySo(db, q, "Musical")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ex.Rank(); err != nil {
-				b.Fatal(err)
-			}
+			whySoRank(b, sess, q, "Musical")
 		}
 	})
 	for _, nd := range []int{20, 60, 180} {
@@ -58,17 +53,25 @@ func BenchmarkE2_Fig2IMDBRanking(b *testing.B) {
 				b.Fatalf("no answers: %v", err)
 			}
 			genre := ans[0].Values[0]
+			sess := openLocal(b, db)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ex, err := qc.WhySo(db, q, genre)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ex.Rank(); err != nil {
-					b.Fatal(err)
-				}
+				whySoRank(b, sess, q, genre)
 			}
 		})
+	}
+}
+
+// whySoRank is one WhySo+Rank on one worker: the per-answer unit the
+// E2 and E19 benchmarks time.
+func whySoRank(b *testing.B, sess qc.Session, q *qc.Query, answer ...qc.Value) {
+	ctx := context.Background()
+	r, err := sess.WhySo(ctx, q, answer...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := r.Rank(ctx, qc.WithParallelism(1)); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -259,15 +262,16 @@ func parallelSweep() []int {
 	return sweep
 }
 
-// BenchmarkE18_ParallelRanking measures the concurrent batch engine
-// (RankAllParallel) against the serial RankAll on both sides of the
-// responsibility dichotomy: a weakly linear query solved per cause by
-// Algorithm 1 (max-flow over per-worker networks, pooled and Reset
-// across rankings instead of cloned per call) and the NP-hard star
-// h₁* solved per cause by the indexed branch-and-bound over the
-// shared interned lineage. workers=1 is the serial baseline; the speedup at
-// workers=w is serial_ns / parallel_ns on a host with GOMAXPROCS ≥ w
-// (on a single-core host the sweep instead measures fan-out overhead).
+// BenchmarkE18_ParallelRanking measures Engine.Rank across worker
+// counts on both sides of the responsibility dichotomy: a weakly
+// linear query solved per cause by Algorithm 1 (max-flow over
+// per-worker networks, pooled and Reset across rankings instead of
+// cloned per call) and the NP-hard star h₁* solved per cause by the
+// indexed branch-and-bound over the shared interned lineage. serial is
+// one worker, run inline on the caller's goroutine (parallel=1 is the
+// same path); the speedup at parallel=w is serial_ns / parallel_ns on
+// a host with GOMAXPROCS ≥ w (on a single-core host the sweep instead
+// measures fan-out overhead).
 func BenchmarkE18_ParallelRanking(b *testing.B) {
 	cases := []struct {
 		name string
@@ -301,24 +305,25 @@ func BenchmarkE18_ParallelRanking(b *testing.B) {
 	}
 	for _, c := range cases {
 		eng := c.eng(b)
+		ctx := context.Background()
 		// Warm the lazy caches (classification certificate, base flow
-		// network) so every variant times only the per-cause work.
-		want, err := eng.RankAll(c.mode)
+		// network, network pool) so every variant times only the
+		// per-cause work.
+		want, err := eng.Rank(ctx, c.mode, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(c.name+"/serial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.RankAll(c.mode); err != nil {
+				if _, err := eng.Rank(ctx, c.mode, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		for _, w := range parallelSweep() {
 			b.Run(fmt.Sprintf("%s/parallel=%d", c.name, w), func(b *testing.B) {
-				ctx := context.Background()
 				for i := 0; i < b.N; i++ {
-					out, err := eng.RankAllParallel(ctx, c.mode, core.ParallelOptions{Workers: w})
+					out, err := eng.Rank(ctx, c.mode, w)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -333,7 +338,7 @@ func BenchmarkE18_ParallelRanking(b *testing.B) {
 
 // BenchmarkE19_ExplainAllBatch measures the request-level fan-out: all
 // answers of the genre query on a synthetic IMDB, explained one
-// WhySo+Rank at a time versus one ExplainAll call.
+// WhySo+Rank at a time versus one Session.ExplainAll call.
 func BenchmarkE19_ExplainAllBatch(b *testing.B) {
 	db := imdb.Synthetic(imdb.Config{Seed: 42, Directors: 120})
 	q := imdb.GenreQuery()
@@ -345,16 +350,11 @@ func BenchmarkE19_ExplainAllBatch(b *testing.B) {
 	for i, a := range ans {
 		reqs[i] = qc.BatchRequest{Query: q, Answer: a.Values}
 	}
+	sess := openLocal(b, db)
 	b.Run(fmt.Sprintf("serial/answers=%d", len(ans)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, a := range ans {
-				ex, err := qc.WhySo(db, q, a.Values...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ex.Rank(); err != nil {
-					b.Fatal(err)
-				}
+				whySoRank(b, sess, q, a.Values...)
 			}
 		}
 	})
@@ -362,7 +362,7 @@ func BenchmarkE19_ExplainAllBatch(b *testing.B) {
 	for _, w := range parallelSweep() {
 		b.Run(fmt.Sprintf("batch/answers=%d/parallel=%d", len(ans), w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := qc.ExplainAll(ctx, db, reqs, qc.BatchOptions{Parallelism: w})
+				results, err := sess.ExplainAll(ctx, reqs, qc.WithParallelism(w))
 				if err != nil {
 					b.Fatal(err)
 				}

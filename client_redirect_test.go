@@ -195,11 +195,7 @@ func TestDialRoutesToOwner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
-	want, err := qc.WhySo(db, q, "Musical")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEx := want.MustRank()
+	wantEx := localRank(t, db, q, "Musical")
 	if len(got) != len(wantEx) {
 		t.Fatalf("remote ranking has %d causes, local %d", len(got), len(wantEx))
 	}

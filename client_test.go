@@ -54,11 +54,7 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ex, err := qc.WhySo(db, q, "Musical")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ex.MustRank()
+	want := localRank(t, db, q, "Musical")
 	if len(got.Explanations) != len(want) {
 		t.Fatalf("wire ranking has %d causes; library has %d", len(got.Explanations), len(want))
 	}

@@ -42,6 +42,7 @@ import (
 	"strings"
 
 	qc "github.com/querycause/querycause"
+	"github.com/querycause/querycause/internal/core"
 )
 
 func main() {
@@ -164,15 +165,15 @@ func run(dbPath, queryStr, answer, why, modeStr string, parallel int, serverURL 
 	// Lineage and cause-program are display-only derivations of the
 	// local database; they print the same regardless of transport.
 	if printLineage || printProgram {
-		ex, err := explainerFor(db, q, answerVals, whyNo)
+		eng, err := core.NewRequestEngine(db, core.BatchRequest{Query: q, Answer: answerVals, WhyNo: whyNo})
 		if err != nil {
 			return err
 		}
 		if printLineage {
-			fmt.Printf("minimal n-lineage: %v\n", ex.NLineage())
+			fmt.Printf("minimal n-lineage: %v\n", eng.NLineage())
 		}
 		if printProgram {
-			prog, err := qc.CauseProgram(db, ex.BoundQuery())
+			prog, err := qc.CauseProgram(db, eng.Query())
 			if err != nil {
 				return err
 			}
@@ -226,13 +227,6 @@ func run(dbPath, queryStr, answer, why, modeStr string, parallel int, serverURL 
 		}
 	}
 	return nil
-}
-
-func explainerFor(db *qc.Database, q *qc.Query, answer []qc.Value, whyNo bool) (*qc.Explainer, error) {
-	if whyNo {
-		return qc.WhyNo(db, q, answer...)
-	}
-	return qc.WhySo(db, q, answer...)
 }
 
 func tupleList(db *qc.Database, ids []qc.TupleID) string {

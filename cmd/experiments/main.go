@@ -155,11 +155,17 @@ func fig1() {
 func fig2() {
 	header("Figure 2b: causes of the Musical answer, ranked by responsibility")
 	db, _ := imdb.Micro()
-	ex, err := qc.WhySo(db, imdb.GenreQuery(), "Musical")
+	ctx := context.Background()
+	sess, err := qc.Open(db, qc.WithParallelism(*parallelism))
 	if err != nil {
 		log.Fatal(err)
 	}
-	ranked, err := ex.RankParallel(context.Background(), qc.BatchOptions{Parallelism: *parallelism})
+	defer sess.Close()
+	r, err := sess.WhySo(ctx, imdb.GenreQuery(), "Musical")
+	if err != nil {
+		log.Fatal(err)
+	}
+	ranked, err := r.Rank(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -383,7 +389,12 @@ func batch() {
 	for i, a := range ans {
 		reqs[i] = qc.BatchRequest{Query: q, Answer: a.Values}
 	}
-	results, err := qc.ExplainAll(context.Background(), db, reqs, qc.BatchOptions{Parallelism: *parallelism})
+	sess, err := qc.Open(db, qc.WithParallelism(*parallelism))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer sess.Close()
+	results, err := sess.ExplainAll(context.Background(), reqs)
 	if err != nil {
 		log.Fatal(err)
 	}

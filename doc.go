@@ -167,10 +167,11 @@
 //	                          (plus a server load generator, -run load)
 //	go run ./cmd/querycaused  the long-running explanation server
 //
-// The v1 context-free surface (WhySo/WhyNo returning an Explainer,
-// ExplainAll over BatchOptions, the raw Client) remains as thin
-// deprecated wrappers; see the "API v2 migration" section in
-// README.md for the mapping.
+// Session is the only explanation API: the context-free v1 entry
+// points (package-level WhySo/WhyNo and ExplainAll, and the rankers
+// they returned) have been removed; see "Migrating from the v1 API" in
+// README.md for the mapping. The raw Client remains for
+// server-specific features (prepared queries, stats).
 //
 // # Clustering and durability
 //

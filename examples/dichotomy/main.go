@@ -8,9 +8,9 @@
 //
 //	go run ./examples/dichotomy
 //
-// The batch API (ExplainAll / RankParallel) and the querycaused
-// explanation server build on the same entry points; see doc.go and
-// cmd/querycaused.
+// The Session API (Open / Dial, Rank, ExplainAll) and the querycaused
+// explanation server build on the same classification; see doc.go
+// and cmd/querycaused.
 package main
 
 import (

@@ -18,11 +18,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files with 
 // table the paper prints.
 func TestFormatExplanationsGolden(t *testing.T) {
 	db, _ := imdb.Micro()
-	ex, err := qc.WhySo(db, imdb.GenreQuery(), "Musical")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := qc.FormatExplanations(db, ex.MustRank())
+	got := qc.FormatExplanations(db, localRank(t, db, imdb.GenreQuery(), "Musical"))
 
 	golden := filepath.Join("testdata", "format_explanations.golden")
 	if *updateGolden {

@@ -9,6 +9,8 @@ package core
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 
 	"github.com/querycause/querycause/internal/rel"
 )
@@ -88,8 +90,8 @@ func ExplainBatch(ctx context.Context, db *rel.Database, reqs []BatchRequest, op
 	}
 	// Leftover budget (workers beyond one per request) goes to ranking
 	// causes within each request; with reqs >= workers this is 1 and
-	// each request is ranked serially.
-	perReq := ParallelOptions{Workers: workers / reqWorkers}
+	// each request is ranked inline on its batch worker.
+	perReq := workers / reqWorkers
 	ForEachIndex(ctx, len(reqs), reqWorkers, func() func(int) {
 		return func(i int) {
 			eng, err := newEngine(db, i, reqs[i])
@@ -97,11 +99,40 @@ func ExplainBatch(ctx context.Context, db *rel.Database, reqs []BatchRequest, op
 				results[i].Err = err
 				return
 			}
-			results[i].Explanations, results[i].Err = eng.RankAllParallel(ctx, opts.Mode, perReq)
+			results[i].Explanations, results[i].Err = eng.Rank(ctx, opts.Mode, perReq)
 		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return results, nil
+}
+
+// ForEachIndex fans the half-open index range [0, n) out across a pool
+// of workers goroutines: indices are claimed atomically, newWorker is
+// called once inside each goroutine to set up worker-private state and
+// returns the task function. Workers stop claiming new indices once
+// ctx is canceled; the caller is responsible for checking ctx.Err()
+// afterwards to distinguish completion from cancellation.
+func ForEachIndex(ctx context.Context, n, workers int, newWorker func() func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn := newWorker()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -20,10 +20,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/querycause/querycause/internal/exact"
 	"github.com/querycause/querycause/internal/lineage"
@@ -139,8 +138,10 @@ type Explanation struct {
 // over one database instance. Build one per (db, query, answer). An
 // Engine may be shared by concurrent goroutines (e.g. a server
 // answering repeated explain requests): the lazily computed
-// certificates and flow networks are mutex-guarded, and everything
-// else is immutable after construction.
+// certificates and base flow networks are mutex-guarded and read-only
+// once built, every flow computation runs on a private clone taken
+// from a per-engine pool, and everything else is immutable after
+// construction.
 type Engine struct {
 	db    *rel.Database
 	q     *rel.Query
@@ -157,21 +158,19 @@ type Engine struct {
 	exIndex *lineage.Index
 
 	// mu guards the lazy caches below; all other fields are read-only
-	// after newEngine returns.
+	// after newEngine returns. A cached network is a clone template:
+	// nothing solves on it, so cloning it needs no lock.
 	mu        sync.Mutex
 	soundCert *rewrite.Certificate
 	paperCert *rewrite.Certificate
 	nets      map[Mode]*respflow.Network
-	// netPool parks worker-private network clones between rankings
-	// (see acquireNet/releaseNet in parallel.go); guarded by poolMu.
+	// netPool parks private network clones between flow computations
+	// (see acquireNet/releaseNet in stream.go); guarded by poolMu.
+	// clones counts the networks ever cloned from a template, so tests
+	// can check that the pool is reused.
 	poolMu  sync.Mutex
 	netPool map[Mode][]*respflow.Network
-	// flowMu serializes use of the cached networks: Contingency
-	// temporarily rewrites edge capacities, so the serial path holds
-	// flowMu around each flow computation and RankAllParallel holds it
-	// while cloning a worker's private network. Workers never lock —
-	// they mutate only their clones.
-	flowMu sync.Mutex
+	clones  atomic.Int64
 }
 
 // NewWhySo builds the engine for an answer: q may be Boolean (no
@@ -310,18 +309,7 @@ func (e *Engine) endoShape() *shape.Shape {
 func (e *Engine) Classification() (*rewrite.Certificate, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.classificationLocked()
-}
-
-func (e *Engine) classificationLocked() (*rewrite.Certificate, error) {
-	if e.soundCert == nil {
-		c, err := rewrite.ClassifySound(e.endoShape())
-		if err != nil {
-			return nil, err
-		}
-		e.soundCert = c
-	}
-	return e.soundCert, nil
+	return e.certificateLocked(ModeAuto)
 }
 
 // PaperClassification returns the Definition 4.9 certificate (Fig. 3
@@ -329,18 +317,25 @@ func (e *Engine) classificationLocked() (*rewrite.Certificate, error) {
 func (e *Engine) PaperClassification() (*rewrite.Certificate, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.paperClassificationLocked()
+	return e.certificateLocked(ModePaper)
 }
 
-func (e *Engine) paperClassificationLocked() (*rewrite.Certificate, error) {
-	if e.paperCert == nil {
-		c, err := rewrite.Classify(e.endoShape())
+// certificateLocked returns the certificate mode dispatches on — the
+// Definition 4.9 one for ModePaper, the sound-rule one otherwise —
+// classifying on first use. The caller holds mu.
+func (e *Engine) certificateLocked(mode Mode) (*rewrite.Certificate, error) {
+	slot, classify := &e.soundCert, rewrite.ClassifySound
+	if mode == ModePaper {
+		slot, classify = &e.paperCert, rewrite.Classify
+	}
+	if *slot == nil {
+		c, err := classify(e.endoShape())
 		if err != nil {
 			return nil, err
 		}
-		e.paperCert = c
+		*slot = c
 	}
-	return e.paperCert, nil
+	return *slot, nil
 }
 
 // Prime seeds the engine's lazily computed certificates with
@@ -382,24 +377,24 @@ func (e *Engine) isCounterfactual(t rel.TupleID) bool {
 	return true
 }
 
-func (e *Engine) network(mode Mode) (*respflow.Network, error) {
+// baseNetwork returns the engine's flow network for mode — built on
+// first use and cached as the read-only template that every flow
+// computation clones — or nil when no cause takes the flow path:
+// Why-No engines, ModeExact, self-joins, queries the mode's
+// certificate does not place on the PTIME side of the dichotomy, and
+// lineages whose causes are all counterfactual.
+func (e *Engine) baseNetwork(mode Mode) (*respflow.Network, error) {
+	if e.whyNo || mode == ModeExact || e.q.HasSelfJoin() || !e.anyNonCounterfactualCause() {
+		return nil, nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if net, ok := e.nets[mode]; ok {
 		return net, nil
 	}
-	var cert *rewrite.Certificate
-	var err error
-	if mode == ModePaper {
-		cert, err = e.paperClassificationLocked()
-	} else {
-		cert, err = e.classificationLocked()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !cert.Class.PTime() {
-		return nil, fmt.Errorf("core: query %v is not weakly linear (%v); flow inapplicable", e.q, cert.Class)
+	cert, err := e.certificateLocked(mode)
+	if err != nil || !cert.Class.PTime() {
+		return nil, nil // not weakly linear (or unclassifiable): exact search
 	}
 	ws, order, err := cert.Replay()
 	if err != nil {
@@ -413,20 +408,15 @@ func (e *Engine) network(mode Mode) (*respflow.Network, error) {
 	return net, nil
 }
 
-// flowApplicable reports whether the flow algorithm may be used in the
-// given mode.
-func (e *Engine) flowApplicable(mode Mode) bool {
-	if e.q.HasSelfJoin() {
-		return false
+// anyNonCounterfactualCause reports whether some cause would reach the
+// flow/exact dispatch (i.e. needs more than the lineage to explain).
+func (e *Engine) anyNonCounterfactualCause() bool {
+	for _, t := range e.causes {
+		if !e.isCounterfactual(t) {
+			return true
+		}
 	}
-	var cert *rewrite.Certificate
-	var err error
-	if mode == ModePaper {
-		cert, err = e.PaperClassification()
-	} else {
-		cert, err = e.Classification()
-	}
-	return err == nil && cert.Class.PTime()
+	return false
 }
 
 // Responsibility computes the explanation for tuple t. Requests for
@@ -440,27 +430,24 @@ func (e *Engine) Responsibility(t rel.TupleID, mode Mode) (Explanation, error) {
 		return Explanation{}, qerr.Tag(qerr.ErrNotCause, fmt.Errorf("core: tuple %v is exogenous; only endogenous tuples have responsibilities", e.db.Tuple(t)))
 	}
 	var net *respflow.Network
-	if e.causeSet[t] && !e.whyNo && !e.isCounterfactual(t) && mode != ModeExact && e.flowApplicable(mode) {
-		var err error
-		net, err = e.network(mode)
+	if e.causeSet[t] && !e.isCounterfactual(t) {
+		base, err := e.baseNetwork(mode)
 		if err != nil {
 			return Explanation{}, err
 		}
-		// The cached network is shared across calls; hold flowMu for
-		// the capacity-rewriting flow computation.
-		e.flowMu.Lock()
-		defer e.flowMu.Unlock()
+		net = e.acquireNet(mode, base)
+		defer e.releaseNet(mode, net)
 	}
 	return e.explain(t, net), nil
 }
 
 // explain computes the explanation for one endogenous tuple. A non-nil
 // net selects the flow path and must be private to the calling
-// goroutine (the engine's cached network on the serial path, a Clone
-// per worker on the parallel path); nil dispatches the non-trivial
-// Why-So case to the exact solver. Everything else explain reads on
-// the engine is immutable after construction, so concurrent calls with
-// distinct networks are race-free.
+// goroutine (a pooled clone of the engine's base network); nil
+// dispatches the non-trivial Why-So case to the exact solver.
+// Everything else explain reads on the engine is immutable after
+// construction, so concurrent calls with distinct networks are
+// race-free.
 func (e *Engine) explain(t rel.TupleID, net *respflow.Network) Explanation {
 	if !e.causeSet[t] {
 		return Explanation{Tuple: t, Rho: 0, ContingencySize: -1, Method: MethodNone}
@@ -493,22 +480,4 @@ func (e *Engine) explain(t rel.TupleID, net *respflow.Network) Explanation {
 	}
 	size := len(set)
 	return Explanation{Tuple: t, Rho: 1 / (1 + float64(size)), ContingencySize: size, Contingency: set, Method: MethodExact}
-}
-
-// RankAll explains every cause and sorts by descending responsibility,
-// breaking ties by tuple ID (the paper's Fig. 2b ranking).
-func (e *Engine) RankAll(mode Mode) ([]Explanation, error) {
-	return e.rankAllCtx(context.Background(), mode)
-}
-
-// sortExplanations applies the paper's Fig. 2b ranking order in place:
-// descending ρ, ties broken by ascending tuple ID. Both the serial and
-// the parallel rankers use it, so their outputs are directly comparable.
-func sortExplanations(out []Explanation) {
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Rho != out[j].Rho {
-			return out[i].Rho > out[j].Rho
-		}
-		return out[i].Tuple < out[j].Tuple
-	})
 }

@@ -1,16 +1,23 @@
-// Streaming rankings: RankAll as a Go iterator. On the NP-hard side of
-// the dichotomy a full ranking is a sum of per-cause branch-and-bound
-// searches — minutes on wide lineages (see BENCH_difftest.json) — yet
-// each cause's explanation is final the moment its own search ends.
-// RankStream emits explanations as workers complete them, so a caller
-// sees its first explanation after one search instead of all of them;
-// drained to completion and sorted with SortExplanations, the stream
-// is byte-identical to RankAll.
+// Rankings: the one loop over the causes. Each cause's responsibility
+// is an independent computation over the shared immutable minimal
+// n-lineage — a min-cut per Algorithm 1 on the weakly linear side of
+// the dichotomy, a branch-and-bound hitting set on the NP-hard side —
+// so a ranking is that computation per cause followed by the Fig. 2b
+// sort. RankStream is the loop: it emits each explanation the moment
+// it is computed (on wide NP-hard lineages a caller sees its first
+// explanation after one search instead of all of them), and Rank
+// drains it and sorts. The exact and Why-No solvers are pure functions
+// of the shared interned lineage index; each flow computation runs on
+// a private network taken from a per-engine pool — cloned from the
+// engine's read-only base network on first use, Reset and parked on
+// release — so no lock is held while solving.
 package core
 
 import (
 	"context"
 	"iter"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +27,8 @@ import (
 // StreamOptions tunes RankStream.
 type StreamOptions struct {
 	// Workers is the parallelism degree (ResolveWorkers semantics:
-	// values <= 0 mean runtime.GOMAXPROCS(0)).
+	// values <= 0 mean runtime.GOMAXPROCS(0)). One worker runs on the
+	// consumer's goroutine.
 	Workers int
 	// CompletionOrder emits explanations the moment any worker finishes
 	// one, minimizing time-to-first-explanation at the price of a
@@ -31,17 +39,49 @@ type StreamOptions struct {
 	CompletionOrder bool
 }
 
+// ResolveWorkers maps a requested parallelism degree to an actual
+// worker count: values <= 0 mean runtime.GOMAXPROCS(0).
+func ResolveWorkers(requested int) int {
+	if requested <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return requested
+}
+
+// Rank explains every cause with the given number of workers
+// (ResolveWorkers semantics) and sorts by descending responsibility,
+// breaking ties by tuple ID (the paper's Fig. 2b ranking). The result
+// is byte-identical for every worker count. Rank honors ctx between
+// per-cause computations (a single exact search is not interruptible)
+// and returns ctx.Err() if canceled before completion.
+func (e *Engine) Rank(ctx context.Context, mode Mode, workers int) ([]Explanation, error) {
+	out := make([]Explanation, 0, len(e.causes))
+	for ex, err := range e.RankStream(ctx, mode, StreamOptions{Workers: workers, CompletionOrder: true}) {
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ex)
+	}
+	SortExplanations(out)
+	return out, nil
+}
+
+// RankAll is Rank on one worker, without cancellation.
+func (e *Engine) RankAll(mode Mode) ([]Explanation, error) {
+	return e.Rank(context.Background(), mode, 1)
+}
+
 // RankStream explains every cause of the engine, yielding each
-// explanation as it is computed by a pool of opts.Workers workers. The
-// yielded multiset of explanations equals RankAll(mode) exactly:
-// drained and sorted with SortExplanations it is byte-identical to the
-// blocking ranking, for every worker count and either emission order.
+// explanation as it is computed by opts.Workers workers. The yielded
+// multiset of explanations equals Rank's exactly: drained and sorted
+// with SortExplanations it is byte-identical to the blocking ranking,
+// for every worker count and either emission order.
 //
 // The sequence is single-use and must be consumed on one goroutine.
 // Breaking out of the range stops the workers and releases their
 // goroutines. Cancellation of ctx ends the sequence with a final
-// (zero Explanation, ctx.Err()) pair; setup failures (an inapplicable
-// flow certificate) yield one (zero, error) pair. Per-cause
+// (zero Explanation, ctx.Err()) pair; setup failures (a flow network
+// that cannot be built) yield one (zero, error) pair. Per-cause
 // computations themselves never fail: every yielded error is terminal.
 func (e *Engine) RankStream(ctx context.Context, mode Mode, opts StreamOptions) iter.Seq2[Explanation, error] {
 	return func(yield func(Explanation, error) bool) {
@@ -53,22 +93,32 @@ func (e *Engine) RankStream(ctx context.Context, mode Mode, opts StreamOptions) 
 		if n == 0 {
 			return
 		}
+		// Resolve shared read-only state up front: lazy certificate and
+		// network computation must not first happen from racing workers,
+		// and setup errors surface before any explanation is emitted.
+		base, err := e.baseNetwork(mode)
+		if err != nil {
+			yield(Explanation{}, err)
+			return
+		}
 		workers := ResolveWorkers(opts.Workers)
 		if workers > n {
 			workers = n
 		}
-		// Resolve shared read-only state up front, exactly like
-		// RankAllParallel: lazy certificate/network computation must not
-		// first happen from racing workers, and setup errors surface
-		// before any explanation is emitted.
-		var base *respflow.Network
-		if !e.whyNo && mode != ModeExact && e.flowApplicable(mode) && e.anyNonCounterfactualCause() {
-			var err error
-			base, err = e.network(mode)
-			if err != nil {
+		var next atomic.Int64
+
+		if workers == 1 {
+			// One worker runs inline: no goroutine, no channel, and
+			// completion order is cause order.
+			stopped := false
+			e.work(ctx, mode, base, &next, func(_ int, ex Explanation) bool {
+				stopped = !yield(ex, nil)
+				return !stopped
+			})
+			if err := ctx.Err(); err != nil && !stopped {
 				yield(Explanation{}, err)
-				return
 			}
+			return
 		}
 
 		sctx, stop := context.WithCancel(ctx)
@@ -78,43 +128,22 @@ func (e *Engine) RankStream(ctx context.Context, mode Mode, opts StreamOptions) 
 		}
 		ch := make(chan item, workers)
 		var wg sync.WaitGroup
-		var next atomic.Int64
-		var acqMu sync.Mutex
-		var acquired []*respflow.Network
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var net *respflow.Network
-				if base != nil {
-					// Pooled from an earlier ranking, or cloned under
-					// flowMu (see acquireNet).
-					net = e.acquireNet(mode, base)
-					acqMu.Lock()
-					acquired = append(acquired, net)
-					acqMu.Unlock()
-				}
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n || sctx.Err() != nil {
-						return
-					}
+				e.work(sctx, mode, base, &next, func(i int, ex Explanation) bool {
 					select {
-					case ch <- item{i, e.explain(e.causes[i], net)}:
+					case ch <- item{i, ex}:
+						return true
 					case <-sctx.Done():
-						return
+						return false
 					}
-				}
+				})
 			}()
 		}
 		go func() {
 			wg.Wait()
-			// All workers are done (their appends happen-before Wait
-			// returns), so the acquired list is stable: park the
-			// networks for the next ranking.
-			for _, net := range acquired {
-				e.releaseNet(mode, net)
-			}
 			close(ch)
 		}()
 		// On every exit — early break included — cancel the workers and
@@ -159,8 +188,69 @@ func (e *Engine) RankStream(ctx context.Context, mode Mode, opts StreamOptions) 
 	}
 }
 
+// work is the body of one ranking worker: it claims cause indices from
+// next until none remain or ctx ends, explains each on a private
+// network from the pool (nil when no cause takes the flow path), and
+// hands the result to emit, stopping when emit returns false.
+func (e *Engine) work(ctx context.Context, mode Mode, base *respflow.Network, next *atomic.Int64, emit func(i int, ex Explanation) bool) {
+	net := e.acquireNet(mode, base)
+	defer e.releaseNet(mode, net)
+	for {
+		i := int(next.Add(1)) - 1
+		if i >= len(e.causes) || ctx.Err() != nil {
+			return
+		}
+		if !emit(i, e.explain(e.causes[i], net)) {
+			return
+		}
+	}
+}
+
+// acquireNet returns a private network for mode: a parked one when the
+// pool has any (Reset restored it to resting state on release), else a
+// fresh Clone of base. The base network is never solved on, so
+// cloning it needs no lock. A nil base yields nil.
+func (e *Engine) acquireNet(mode Mode, base *respflow.Network) *respflow.Network {
+	if base == nil {
+		return nil
+	}
+	e.poolMu.Lock()
+	if pool := e.netPool[mode]; len(pool) > 0 {
+		net := pool[len(pool)-1]
+		e.netPool[mode] = pool[:len(pool)-1]
+		e.poolMu.Unlock()
+		return net
+	}
+	e.poolMu.Unlock()
+	e.clones.Add(1)
+	return base.Clone()
+}
+
+// releaseNet resets net and parks it for the next flow computation.
+// The pool is bounded by GOMAXPROCS — more workers than cores never
+// pay off, so anything beyond that is discarded rather than held for
+// the engine's lifetime. A nil net is a no-op.
+func (e *Engine) releaseNet(mode Mode, net *respflow.Network) {
+	if net == nil {
+		return
+	}
+	net.Reset()
+	e.poolMu.Lock()
+	if len(e.netPool[mode]) < runtime.GOMAXPROCS(0) {
+		e.netPool[mode] = append(e.netPool[mode], net)
+	}
+	e.poolMu.Unlock()
+}
+
 // SortExplanations sorts a ranking in place into the paper's Fig. 2b
-// order — descending ρ, ties by ascending tuple ID — the order RankAll
+// order — descending ρ, ties by ascending tuple ID — the order Rank
 // returns. A fully drained RankStream sorted with SortExplanations is
-// byte-identical to RankAll on the same engine.
-func SortExplanations(exps []Explanation) { sortExplanations(exps) }
+// byte-identical to Rank on the same engine.
+func SortExplanations(exps []Explanation) {
+	sort.SliceStable(exps, func(i, j int) bool {
+		if exps[i].Rho != exps[j].Rho {
+			return exps[i].Rho > exps[j].Rho
+		}
+		return exps[i].Tuple < exps[j].Tuple
+	})
+}

@@ -815,7 +815,7 @@ func (s *Server) explainHandler(whyNo, prepared bool) http.HandlerFunc {
 		if !certHit {
 			s.markDirty(sess) // a fresh classification is worth persisting
 		}
-		exps, err := eng.RankAllParallel(ctx, mode, core.ParallelOptions{Workers: s.clampWorkers(req.Parallelism)})
+		exps, err := eng.Rank(ctx, mode, s.clampWorkers(req.Parallelism))
 		if err != nil {
 			if ctx.Err() != nil {
 				writeErr(w, errBudget("request canceled: %v", ctx.Err()))

@@ -289,11 +289,7 @@ func (s *session) engineFor(q *rel.Query, qID string, answer []rel.Value, whyNo 
 	if err != nil {
 		return nil, false, false, err
 	}
-	if whyNo {
-		eng, err = core.NewWhyNo(s.db, q, answer...)
-	} else {
-		eng, err = core.NewWhySo(s.db, q, answer...)
-	}
+	eng, err = core.NewRequestEngine(s.db, core.BatchRequest{Query: q, Answer: answer, WhyNo: whyNo})
 	if err != nil {
 		return nil, false, certHit, err
 	}

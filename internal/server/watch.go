@@ -84,12 +84,19 @@ type watchTopic struct {
 }
 
 // remember appends a published frame to the replay ring, advancing the
-// resume floor as old frames age out.
+// resume floor as old frames age out. Aged-out frames are copied down
+// over rather than resliced away, so the ring's backing array never
+// keeps more than watchReplayBuffer+1 frames reachable.
 func (t *watchTopic) remember(ev WatchEvent) {
+	if t.recent == nil {
+		t.recent = make([]WatchEvent, 0, watchReplayBuffer+1)
+	}
 	t.recent = append(t.recent, ev)
 	if len(t.recent) > watchReplayBuffer {
 		t.floor = t.recent[0].Version
-		t.recent = t.recent[1:]
+		n := copy(t.recent, t.recent[1:])
+		t.recent[n] = WatchEvent{}
+		t.recent = t.recent[:n]
 	}
 }
 
@@ -438,7 +445,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		exps, err := eng.RankAllParallel(context.Background(), mode, core.ParallelOptions{Workers: s.clampWorkers(0)})
+		exps, err := eng.Rank(context.Background(), mode, s.clampWorkers(0))
 		if err != nil {
 			return nil, err
 		}
@@ -481,10 +488,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		if err := enc.Encode(ev); err != nil {
 			return false
 		}
+		// Counted before the flush that delivers the frame, so a client
+		// that has read a frame finds it in /v1/stats.
+		s.diffEventsSent.Add(1)
 		if flusher != nil {
 			flusher.Flush()
 		}
-		s.diffEventsSent.Add(1)
 		return true
 	}
 	for _, ev := range initial {

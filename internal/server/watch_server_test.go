@@ -599,3 +599,63 @@ func TestWatchResumeOntoErroredTopic(t *testing.T) {
 		t.Fatalf("recovery frame = %+v; want non-empty full_resync", ev)
 	}
 }
+
+// TestWatchReplayRingBounded publishes ten rings' worth of frames into
+// one topic: the ring's backing array must stay at one ring plus the
+// slot an append needs, so aged-out frames are not kept reachable, and
+// a resume from the floor must still replay the retained frames
+// gap-free up to the live version.
+func TestWatchReplayRingBounded(t *testing.T) {
+	ws := NewWatchSet()
+	// The ranking at version v is one cause with ρ = 1/v, so every
+	// mutation's frame is a real diff.
+	version := uint64(1)
+	rank := func() ([]ExplanationDTO, error) {
+		return []ExplanationDTO{{TupleID: 1, Rho: 1 / float64(version)}}, nil
+	}
+	mentions := func(string) bool { return true }
+	sub, initial, err := ws.Subscribe("k", 1, version, 0, mentions, rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Unsubscribe("k", sub)
+	for i := 0; i < 10*watchReplayBuffer; i++ {
+		version++
+		ws.Fanout(version, map[string]bool{"R": true})
+	}
+
+	ws.mu.Lock()
+	top := ws.topics["k"]
+	ringLen, ringCap, floor := len(top.recent), cap(top.recent), top.floor
+	ws.mu.Unlock()
+	if ringLen != watchReplayBuffer || ringCap > watchReplayBuffer+1 {
+		t.Fatalf("ring len %d cap %d after %d frames; want len %d, cap <= %d",
+			ringLen, ringCap, 10*watchReplayBuffer, watchReplayBuffer, watchReplayBuffer+1)
+	}
+	if floor != version-watchReplayBuffer {
+		t.Fatalf("floor = %d; want %d", floor, version-watchReplayBuffer)
+	}
+
+	resumed, replay, err := ws.Subscribe("k", 1, version, floor, mentions, rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Unsubscribe("k", resumed)
+	if len(replay) != watchReplayBuffer {
+		t.Fatalf("resume from floor replayed %d frames; want %d", len(replay), watchReplayBuffer)
+	}
+	state := []ExplanationDTO{{TupleID: 1, Rho: 1 / float64(floor)}}
+	for i, ev := range replay {
+		if want := floor + 1 + uint64(i); ev.Type != "diff" || ev.Version != want {
+			t.Fatalf("replayed frame %d = type %q version %d; want diff at %d", i, ev.Type, ev.Version, want)
+		}
+		state = ApplyWatchEvent(state, ev)
+	}
+	want, _ := rank()
+	if rankingJSON(t, state) != rankingJSON(t, want) {
+		t.Fatalf("replay from floor = %s; want %s", rankingJSON(t, state), rankingJSON(t, want))
+	}
+	if initial[0].Type != "snapshot" {
+		t.Fatalf("fresh subscription's first frame = %q; want snapshot", initial[0].Type)
+	}
+}

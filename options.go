@@ -9,8 +9,7 @@ import (
 // config is the one knob set behind the Session API: session
 // constructors (Open, Dial) take Options establishing the session's
 // defaults, and per-call Options on Rank / RankStream / ExplainAll
-// override them for that call. It replaces the v1 surface's scattered
-// BatchOptions, core.ParallelOptions, and per-request wire fields.
+// override them for that call.
 type config struct {
 	mode            Mode
 	parallelism     int

@@ -108,88 +108,6 @@ func ParseDatabase(r io.Reader) (*Database, error) { return parser.ParseDatabase
 // value.
 func Answers(db *Database, q *Query) ([]rel.Answer, error) { return rel.Answers(db, q) }
 
-// Explainer ranks the causes of one answer or non-answer.
-//
-// Deprecated: Explainer is the context-free v1 surface. New code
-// should Open (or Dial) a Session and use its context-first Ranking —
-// same results, plus cancellation, streaming (RankStream), and the
-// typed error taxonomy. Explainer remains supported as a thin wrapper.
-type Explainer struct {
-	eng   *core.Engine
-	whyNo bool
-}
-
-// WhySo explains why answer ā is returned by q on db: the database's
-// endogenous tuples are the candidate causes (Definition 2.1). Pass no
-// answer values for a Boolean query.
-//
-// Deprecated: use Open(db) and Session.WhySo(ctx, q, answer...),
-// which adds cancellation, streaming, and typed errors.
-func WhySo(db *Database, q *Query, answer ...Value) (*Explainer, error) {
-	eng, err := core.NewWhySo(db, q, answer...)
-	if err != nil {
-		return nil, err
-	}
-	return &Explainer{eng: eng}, nil
-}
-
-// WhyNo explains why ā is NOT an answer: the database's endogenous
-// tuples are the candidate missing tuples Dⁿ, its exogenous tuples the
-// real database Dˣ (Section 2, Why-No causality).
-//
-// Deprecated: use Open(db) and Session.WhyNo(ctx, q, nonAnswer...).
-func WhyNo(db *Database, q *Query, nonAnswer ...Value) (*Explainer, error) {
-	eng, err := core.NewWhyNo(db, q, nonAnswer...)
-	if err != nil {
-		return nil, err
-	}
-	return &Explainer{eng: eng, whyNo: true}, nil
-}
-
-// Causes returns all actual causes (Theorem 3.2), sorted by tuple ID.
-func (e *Explainer) Causes() []TupleID { return e.eng.Causes() }
-
-// BoundQuery returns the Boolean query after answer binding (Section 2:
-// q[ā/x̄]).
-func (e *Explainer) BoundQuery() *Query { return e.eng.Query() }
-
-// NLineage returns the minimal endogenous lineage Φⁿ.
-func (e *Explainer) NLineage() Lineage { return e.eng.NLineage() }
-
-// Responsibility computes ρ_t under ModeAuto.
-func (e *Explainer) Responsibility(t TupleID) (Explanation, error) {
-	return e.eng.Responsibility(t, core.ModeAuto)
-}
-
-// ResponsibilityMode computes ρ_t under an explicit mode.
-func (e *Explainer) ResponsibilityMode(t TupleID, m Mode) (Explanation, error) {
-	return e.eng.Responsibility(t, m)
-}
-
-// Rank explains every cause, sorted by descending responsibility.
-//
-// Deprecated: use Ranking.Rank(ctx) on a Session for cancellation and
-// parallelism, or Ranking.RankStream(ctx) for incremental results.
-// The output is identical.
-func (e *Explainer) Rank() ([]Explanation, error) { return e.eng.RankAll(core.ModeAuto) }
-
-// MustRank is Rank, panicking on error (for examples and tests).
-func (e *Explainer) MustRank() []Explanation {
-	out, err := e.Rank()
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// Classification returns the dichotomy certificate under the sound
-// domination rule (what ModeAuto dispatches on).
-func (e *Explainer) Classification() (*Certificate, error) { return e.eng.Classification() }
-
-// PaperClassification returns the Definition 4.9 certificate (the
-// paper's Fig. 3 semantics).
-func (e *Explainer) PaperClassification() (*Certificate, error) { return e.eng.PaperClassification() }
-
 // CausesFO computes the causes of a Boolean query with the generated
 // stratified Datalog¬ program of Theorem 3.4 (rather than through the
 // lineage) and returns the program alongside, e.g. for display. The two

@@ -1,6 +1,7 @@
 package querycause_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -21,11 +22,7 @@ func TestQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := qc.WhySo(db, q, "a4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranked := ex.MustRank()
+	ranked := localRank(t, db, q, "a4")
 	if len(ranked) != 4 {
 		t.Fatalf("causes = %d, want 4", len(ranked))
 	}
@@ -33,14 +30,9 @@ func TestQuickstart(t *testing.T) {
 		if !approx(e.Rho, 0.5) {
 			t.Errorf("ρ(%v) = %v, want 0.5", db.Tuple(e.Tuple), e.Rho)
 		}
-	}
-	// Individual lookup.
-	one, err := ex.Responsibility(sa3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.ContingencySize != 1 {
-		t.Errorf("contingency = %d, want 1", one.ContingencySize)
+		if e.Tuple == sa3 && e.ContingencySize != 1 {
+			t.Errorf("contingency of S(a3) = %d, want 1", e.ContingencySize)
+		}
 	}
 	// Table rendering.
 	s := qc.FormatExplanations(db, ranked)
@@ -61,19 +53,18 @@ func TestParseDatabaseAndWhyNo(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := qc.ParseQuery("q :- R(x,y), S(y)")
-	ex, err := qc.WhyNo(db, q)
+	r, err := openLocal(t, db).WhyNo(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	causes := ex.Causes()
-	if len(causes) != 1 {
-		t.Fatalf("Why-No causes = %v, want one (S(b))", causes)
-	}
-	e, err := ex.Responsibility(causes[0])
+	ranked, err := r.Rank(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Rho != 1 || e.Method != qc.MethodWhyNo {
+	if len(ranked) != 1 {
+		t.Fatalf("Why-No causes = %v, want one (S(b))", ranked)
+	}
+	if e := ranked[0]; e.Rho != 1 || e.Method != qc.MethodWhyNo {
 		t.Errorf("ρ = %v (%v), want 1 via why-no", e.Rho, e.Method)
 	}
 }
@@ -88,11 +79,14 @@ func TestCausesFOAgreesWithLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := qc.WhySo(db, q)
+	r, err := openLocal(t, db).WhySo(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin := ex.Causes()
+	lin, err := r.Causes(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(foCauses) != len(lin) {
 		t.Fatalf("FO=%v lineage=%v", foCauses, lin)
 	}
@@ -169,10 +163,12 @@ func TestErrorsSurface(t *testing.T) {
 	db := qc.NewDatabase()
 	db.MustAdd("R", true, "a")
 	q, _ := qc.ParseQuery("q(x) :- R(x)")
-	if _, err := qc.WhySo(db, q); err == nil {
+	ctx := context.Background()
+	sess := openLocal(t, db)
+	if _, err := sess.WhySo(ctx, q); err == nil {
 		t.Error("missing answer for non-Boolean query should fail")
 	}
-	if _, err := qc.WhySo(db, q, "a", "b"); err == nil {
+	if _, err := sess.WhySo(ctx, q, "a", "b"); err == nil {
 		t.Error("answer arity mismatch should fail")
 	}
 	// Why-No requires the query to be false on the real (exogenous)
@@ -180,7 +176,7 @@ func TestErrorsSurface(t *testing.T) {
 	db2 := qc.NewDatabase()
 	db2.MustAdd("R", false, "a")
 	db2.MustAdd("R", true, "b")
-	if _, err := qc.WhyNo(db2, q, "a"); err == nil {
+	if _, err := openLocal(t, db2).WhyNo(ctx, q, "a"); err == nil {
 		t.Error("Why-No on an actual answer should fail")
 	}
 }

@@ -206,14 +206,8 @@ func (s *localSession) open(ctx context.Context, q *Query, answer []Value, whyNo
 	if err := cctx.Err(); err != nil {
 		return nil, err
 	}
-	var eng *core.Engine
-	var err error
 	s.dbMu.RLock()
-	if whyNo {
-		eng, err = core.NewWhyNo(s.db, q, answer...)
-	} else {
-		eng, err = core.NewWhySo(s.db, q, answer...)
-	}
+	eng, err := core.NewRequestEngine(s.db, core.BatchRequest{Query: q, Answer: answer, WhyNo: whyNo})
 	s.dbMu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -337,17 +331,11 @@ func (s *localSession) Watch(ctx context.Context, spec WatchSpec, opts ...Option
 			// Runs under dbMu — the read side for the snapshot, the
 			// mutating call's write side for fanouts — so it takes no
 			// database lock and detaches from the subscriber's context.
-			var eng *core.Engine
-			var err error
-			if spec.WhyNo {
-				eng, err = core.NewWhyNo(s.db, q, answer...)
-			} else {
-				eng, err = core.NewWhySo(s.db, q, answer...)
-			}
+			eng, err := core.NewRequestEngine(s.db, core.BatchRequest{Query: q, Answer: answer, WhyNo: spec.WhyNo})
 			if err != nil {
 				return nil, err
 			}
-			exps, err := eng.RankAllParallel(context.Background(), cfg.mode, core.ParallelOptions{Workers: cfg.parallelism})
+			exps, err := eng.Rank(context.Background(), cfg.mode, cfg.parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -471,7 +459,7 @@ func (r *localRanking) Rank(ctx context.Context, opts ...Option) ([]Explanation,
 	cfg := r.s.cfg.apply(opts)
 	ctx, cancel := cfg.withTimeout(ctx)
 	defer cancel()
-	return r.eng.RankAllParallel(ctx, cfg.mode, core.ParallelOptions{Workers: cfg.parallelism})
+	return r.eng.Rank(ctx, cfg.mode, cfg.parallelism)
 }
 
 func (r *localRanking) RankStream(ctx context.Context, opts ...Option) iter.Seq2[Explanation, error] {

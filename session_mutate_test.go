@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	qc "github.com/querycause/querycause"
 	"github.com/querycause/querycause/internal/server"
@@ -16,13 +17,23 @@ import (
 // with — sharing one *Database across subtests would double-apply.
 func bothTransportsFresh(t *testing.T, mkDB func() *qc.Database, body func(t *testing.T, sess qc.Session)) {
 	t.Helper()
+	bothTransportsSettled(t, mkDB, func(t *testing.T, sess qc.Session, _ func()) { body(t, sess) })
+}
+
+// bothTransportsSettled is bothTransportsFresh whose body also gets a
+// settle func that blocks until no watch stream is open. In-process
+// watches unsubscribe as their range ends; a remote watch dropped by
+// breaking out of its range is unsubscribed only once the server
+// notices the closed connection.
+func bothTransportsSettled(t *testing.T, mkDB func() *qc.Database, body func(t *testing.T, sess qc.Session, settle func())) {
+	t.Helper()
 	t.Run("local", func(t *testing.T) {
 		sess, err := qc.Open(mkDB())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sess.Close()
-		body(t, sess)
+		body(t, sess, func() {})
 	})
 	t.Run("remote", func(t *testing.T) {
 		srv := server.New(server.Config{ReapInterval: -1})
@@ -36,7 +47,23 @@ func bothTransportsFresh(t *testing.T, mkDB func() *qc.Database, body func(t *te
 			t.Fatal(err)
 		}
 		defer sess.Close()
-		body(t, sess)
+		settle := func() {
+			t.Helper()
+			c := qc.NewClient(ts.URL, nil)
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				st, err := c.Stats(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.WatchesActive == 0 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d watch streams still open on the server", st.WatchesActive)
+				}
+			}
+		}
+		body(t, sess, settle)
 	})
 }
 
@@ -69,11 +96,7 @@ func TestSessionMutate(t *testing.T) {
 	}
 	rank := func(t *testing.T, db *qc.Database, answer qc.Value) string {
 		t.Helper()
-		ex, err := qc.WhySo(db, q, answer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mustJSON(t, ex.MustRank())
+		return mustJSON(t, localRank(t, db, q, answer))
 	}
 	wantA4, wantA6 := rank(t, ref, "a4"), rank(t, ref, "a6")
 

@@ -43,6 +43,33 @@ func bothTransports(t *testing.T, db *qc.Database, opts []qc.Option, body func(t
 	})
 }
 
+// openLocal opens an in-process session over db, closed when the test
+// ends.
+func openLocal(t testing.TB, db *qc.Database, opts ...qc.Option) qc.Session {
+	t.Helper()
+	sess, err := qc.Open(db, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	return sess
+}
+
+// localRank is the in-process reference ranking of one answer: WhySo
+// on a fresh local session, ranked on one worker.
+func localRank(t testing.TB, db *qc.Database, q *qc.Query, answer ...qc.Value) []qc.Explanation {
+	t.Helper()
+	r, err := openLocal(t, db).WhySo(context.Background(), q, answer...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps, err := r.Rank(context.Background(), qc.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exps
+}
+
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	raw, err := json.Marshal(v)
@@ -75,13 +102,11 @@ func TestSessionTransportEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			// The in-process ranking is the reference both transports
-			// must reproduce.
-			ref, err := qc.Open(tc.db)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The in-process ranking on one worker is the reference both
+			// transports must reproduce at every parallelism.
+			ref := openLocal(t, tc.db)
 			var refRanking qc.Ranking
+			var err error
 			if tc.whyNo {
 				refRanking, err = ref.WhyNo(context.Background(), tc.q, tc.answer...)
 			} else {
@@ -90,7 +115,7 @@ func TestSessionTransportEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := refRanking.Rank(context.Background())
+			want, err := refRanking.Rank(context.Background(), qc.WithParallelism(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,12 +141,14 @@ func TestSessionTransportEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(causes, wantCauses) {
 					t.Errorf("Causes = %v; want %v", causes, wantCauses)
 				}
-				got, err := r.Rank(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotJSON := mustJSON(t, got); gotJSON != wantJSON {
-					t.Errorf("Rank differs from reference\ngot:  %s\nwant: %s", gotJSON, wantJSON)
+				for _, par := range []int{0, 1, 4} {
+					got, err := r.Rank(ctx, qc.WithParallelism(par))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotJSON := mustJSON(t, got); gotJSON != wantJSON {
+						t.Errorf("parallelism %d: Rank differs from reference\ngot:  %s\nwant: %s", par, gotJSON, wantJSON)
+					}
 				}
 				// Drained stream sorted = Rank, byte-for-byte, in both
 				// emission orders.

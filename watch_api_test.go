@@ -35,11 +35,7 @@ func TestSessionWatch(t *testing.T) {
 	if err := ref.Delete(1); err != nil { // S(a3): kills the first witness
 		t.Fatal(err)
 	}
-	ex, err := qc.WhySo(ref, q, "a4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustJSON(t, watchDTOs(t, ref, ex.MustRank()))
+	want := mustJSON(t, watchDTOs(t, ref, localRank(t, ref, q, "a4")))
 
 	bothTransportsFresh(t, mutateChainDB, func(t *testing.T, sess qc.Session) {
 		ctx, cancel := context.WithCancel(context.Background())

@@ -31,7 +31,7 @@ func TestSessionWatchManualResume(t *testing.T) {
 		db.MustAdd("T", true, "t1") // unrelated relation for empty-diff frames
 		return db
 	}
-	bothTransportsFresh(t, mkDB, func(t *testing.T, sess qc.Session) {
+	bothTransportsSettled(t, mkDB, func(t *testing.T, sess qc.Session, settle func()) {
 		ctx := context.Background()
 		spec := qc.WatchSpec{Query: q, Answer: []qc.Value{"a4"}}
 
@@ -51,6 +51,7 @@ func TestSessionWatchManualResume(t *testing.T) {
 		// Missed while away: an unrelated insert. The retained topic
 		// records the empty version-bump, so the resume replays it —
 		// a diff frame, not a snapshot.
+		settle()
 		if _, err := sess.Insert(ctx, qc.TupleSpec{Rel: "T", Args: []string{"t2"}, Endo: true}); err != nil {
 			t.Fatal(err)
 		}
@@ -71,6 +72,7 @@ func TestSessionWatchManualResume(t *testing.T) {
 		// no subscriber listening the topic is dropped rather than
 		// re-ranked inside the mutation, so this resume pays a
 		// full_resync — whose ranking must byte-equal a cold rank.
+		settle()
 		if _, err := sess.Insert(ctx, qc.TupleSpec{Rel: "R", Args: []string{"a4", "a2"}, Endo: true}); err != nil {
 			t.Fatal(err)
 		}
