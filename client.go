@@ -118,7 +118,28 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{base: strings.TrimRight(baseURL, "/"), http: httpClient, retries: defaultGETRetries}
+	return &Client{base: strings.TrimRight(baseURL, "/"), http: stopClusterRedirects(httpClient), retries: defaultGETRetries}
+}
+
+// stopClusterRedirects returns a copy of hc that hands cluster
+// redirects (307/308) back to the caller instead of following them, so
+// doOnce and openStream apply one hop policy to every method; other
+// redirects keep hc's policy.
+func stopClusterRedirects(hc *http.Client) *http.Client {
+	cp := *hc
+	cp.CheckRedirect = func(req *http.Request, via []*http.Request) error {
+		if code := req.Response.StatusCode; code == http.StatusTemporaryRedirect || code == http.StatusPermanentRedirect {
+			return http.ErrUseLastResponse
+		}
+		if hc.CheckRedirect != nil {
+			return hc.CheckRedirect(req, via)
+		}
+		if len(via) >= 10 { // net/http's default policy
+			return errors.New("stopped after 10 redirects")
+		}
+		return nil
+	}
+	return &cp
 }
 
 const defaultGETRetries = 2
@@ -312,17 +333,13 @@ func (c *Client) doKeyed(ctx context.Context, method, path string, in, out any, 
 		attempts += c.retries
 	}
 	var lastErr error
+	url, routed := c.Base()+path, ""
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			var retryAfter time.Duration
 			var apiErr *APIError
 			if errors.As(lastErr, &apiErr) {
 				retryAfter = apiErr.RetryAfter
-			} else {
-				// Transport error: the pinned node may be gone. Fail over to
-				// a fallback base (no-op without SetFallbacks) and let the
-				// cluster route the retry.
-				c.rotateBase()
 			}
 			select {
 			case <-ctx.Done():
@@ -332,9 +349,22 @@ func (c *Client) doKeyed(ctx context.Context, method, path string, in, out any, 
 				return ctx.Err()
 			case <-time.After(retryDelay(attempt, retryAfter)):
 			}
+			// Retry where the cluster last routed the request: after a
+			// redirect that is the owner, so the retry does not cross the
+			// wrong node again. A transport error at the node the attempt
+			// entered through means that node may be gone: re-enter through
+			// the pinned base, failing over from it (no-op without
+			// SetFallbacks) when the base itself failed.
+			if apiErr == nil && routed == url {
+				if url == c.Base()+path {
+					c.rotateBase()
+				}
+				routed = c.Base() + path
+			}
+			url = routed
 		}
 		var retry bool
-		retry, lastErr = c.doOnce(ctx, method, path, raw, in != nil, out, idemKey)
+		routed, retry, lastErr = c.doOnce(ctx, method, url, raw, in != nil, out, idemKey)
 		if lastErr == nil || !retry {
 			break
 		}
@@ -363,14 +393,14 @@ func (c *Client) doKeyed(ctx context.Context, method, path string, in, out any, 
 // epoch-guarded rebase (maybeRebase) re-pins the client along the way.
 const maxRedirectHops = 4
 
-// doOnce performs one HTTP exchange; retry reports whether the failure
-// is transient enough for an idempotent retry. A cluster 307/308 is
+// doOnce performs one HTTP exchange starting at url; routed is the
+// URL of its last hop and retry reports whether the failure is
+// transient enough for an idempotent retry. A cluster 307/308 is
 // followed without consuming a retry attempt — it is a re-route, not a
 // retry. A second redirect in one request re-pins the client to the
 // newest topology's owner; exhausting the hop budget is a retryable
 // failure (the topology is still converging).
-func (c *Client) doOnce(ctx context.Context, method, path string, raw []byte, hasBody bool, out any, idemKey string) (retry bool, err error) {
-	url := c.Base() + path
+func (c *Client) doOnce(ctx context.Context, method, url string, raw []byte, hasBody bool, out any, idemKey string) (routed string, retry bool, err error) {
 	for hop := 0; ; hop++ {
 		var body io.Reader
 		if hasBody {
@@ -378,30 +408,25 @@ func (c *Client) doOnce(ctx context.Context, method, path string, raw []byte, ha
 		}
 		req, err := http.NewRequestWithContext(ctx, method, url, body)
 		if err != nil {
-			return false, err
+			return url, false, err
 		}
 		if hasBody {
 			req.Header.Set("Content-Type", "application/json")
-			// net/http would transparently re-POST the body on a 307 (it
-			// knows how to rewind a bytes.Reader) under its own 10-hop
-			// budget; clearing GetBody surfaces the redirect here so the
-			// hop policy above is enforceable.
-			req.GetBody = nil
 		}
 		if idemKey != "" {
 			req.Header.Set("Idempotency-Key", idemKey)
 		}
 		resp, err := c.http.Do(req)
 		if err != nil {
-			return true, err // transport error: retryable for idempotent requests
+			return url, true, err // transport error: retryable for idempotent requests
 		}
 		if resp.StatusCode == http.StatusTemporaryRedirect || resp.StatusCode == http.StatusPermanentRedirect {
 			loc, lerr := redirectTarget(resp)
 			if lerr != nil {
-				return false, lerr
+				return url, false, lerr
 			}
 			if hop >= maxRedirectHops {
-				return true, fmt.Errorf("querycaused: redirect loop: %s redirected again (to %s) after %d cluster hops; topology still converging", url, loc, hop)
+				return url, true, fmt.Errorf("querycaused: redirect loop: %s redirected again (to %s) after %d cluster hops; topology still converging", url, loc, hop)
 			}
 			if hop > 0 {
 				c.maybeRebase(loc, resp)
@@ -411,12 +436,12 @@ func (c *Client) doOnce(ctx context.Context, method, path string, raw []byte, ha
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			return retryableStatus(resp.StatusCode), decodeAPIError(resp)
+			return url, retryableStatus(resp.StatusCode), decodeAPIError(resp)
 		}
 		if out == nil {
-			return false, nil
+			return url, false, nil
 		}
-		return false, json.NewDecoder(resp.Body).Decode(out)
+		return url, false, json.NewDecoder(resp.Body).Decode(out)
 	}
 }
 
@@ -654,7 +679,6 @@ func (c *Client) openStream(ctx context.Context, path string, raw []byte) (*http
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.GetBody = nil // same cluster redirect hop policy as doOnce
 		resp, err := c.http.Do(req)
 		if err != nil {
 			if ctx.Err() == nil && hop == 0 {

@@ -43,7 +43,7 @@ type Ring interface {
 // tiny (N*64 points).
 const DefaultVnodes = 64
 
-// HashRing is a consistent-hash ring with virtual nodes over FNV-1a.
+// HashRing is a consistent-hash ring with virtual nodes over Hash.
 // The zero value is an empty ring; build one with New.
 type HashRing struct {
 	points []point
@@ -114,11 +114,23 @@ func (r *HashRing) Nodes() []string {
 	return out
 }
 
-// Hash is the ring's key hash (FNV-1a 64). Exported so the client and
-// server can hash auxiliary keys (e.g. picking an upload node from
-// database content) consistently with ring placement.
+// Hash is the ring's key hash: FNV-1a 64 followed by the murmur3
+// fmix64 finalizer. FNV-1a alone barely mixes its last input bytes into
+// the high bits, so keys that differ only in a trailing digit — session
+// ids d1, d2, … and the vnode labels of nodes whose URLs differ only in
+// the port — bunch on a few arcs of the ring and leave some nodes
+// almost no keys. Exported so the client and server can hash auxiliary
+// keys (e.g. picking an upload node from database content)
+// consistently with ring placement. Changing it moves every key, so
+// every node of a cluster must run the same Hash.
 func Hash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	k := h.Sum64()
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb3f97d1a85e3
+	k ^= k >> 33
+	return k
 }

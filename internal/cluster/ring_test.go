@@ -19,19 +19,35 @@ func TestOwnerDeterministicAcrossBuilds(t *testing.T) {
 }
 
 func TestOwnerSpread(t *testing.T) {
-	nodes := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r := New(nodes)
-	counts := map[string]int{}
-	const n = 3000
-	for i := 0; i < n; i++ {
-		counts[r.Owner(fmt.Sprintf("d%d", i))]++
+	// Besides distinct hosts, loopback URLs that differ only in the
+	// port: the node sets of a local cluster or a test of one.
+	loopback := func(ports ...int) []string {
+		var out []string
+		for _, p := range ports {
+			out = append(out, fmt.Sprintf("http://127.0.0.1:%d", p))
+		}
+		return out
 	}
-	for _, node := range nodes {
-		c := counts[node]
-		// With 64 vnodes the spread should be roughly even; require
-		// every node to own at least half its fair share.
-		if c < n/(2*len(nodes)) {
-			t.Fatalf("node %s owns only %d/%d keys: %v", node, c, n, counts)
+	for _, nodes := range [][]string{
+		{"http://a:1", "http://b:2", "http://c:3"},
+		loopback(33451, 33452, 33453, 33454),
+		loopback(40000, 40001, 40002, 40003),
+		loopback(8347, 8348, 8349, 8350),
+		loopback(35111, 41227, 37003, 45679),
+	} {
+		r := New(nodes)
+		counts := map[string]int{}
+		const n = 3000
+		for i := 0; i < n; i++ {
+			counts[r.Owner(fmt.Sprintf("d%d", i))]++
+		}
+		for _, node := range nodes {
+			c := counts[node]
+			// With 64 vnodes the spread should be roughly even; require
+			// every node to own at least half its fair share.
+			if c < n/(2*len(nodes)) {
+				t.Fatalf("node %s owns only %d/%d keys: %v", node, c, n, counts)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/querycause/querycause/internal/imdb"
 	"github.com/querycause/querycause/internal/rel"
+	"github.com/querycause/querycause/internal/respflow"
 	"github.com/querycause/querycause/internal/whyno"
 	"github.com/querycause/querycause/internal/workload"
 )
@@ -336,9 +337,22 @@ func TestNetworkPoolReuse(t *testing.T) {
 			t.Fatalf("%s: single-tuple Responsibility cloned past the pool (%d clones)", w.name, got)
 		}
 		// The pool holds up to GOMAXPROCS networks, so a ranking at that
-		// worker count is fully served by the pool once primed.
+		// worker count is fully served by the pool once primed. A ranking
+		// does not prime it reliably (its workers need not hold networks
+		// at the same time), so fill it to capacity first.
 		workers := runtime.GOMAXPROCS(0)
-		var primed int64
+		if base, err := eng.baseNetwork(ModeAuto); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		} else if base != nil {
+			held := make([]*respflow.Network, workers)
+			for i := range held {
+				held[i] = eng.acquireNet(ModeAuto, base)
+			}
+			for _, net := range held {
+				eng.releaseNet(ModeAuto, net)
+			}
+		}
+		primed := eng.clones.Load()
 		for round := 0; round < 4; round++ {
 			got, err := eng.Rank(ctx, ModeAuto, workers)
 			if err != nil {
@@ -353,9 +367,7 @@ func TestNetworkPoolReuse(t *testing.T) {
 			if !reflect.DeepEqual(streamed, want) {
 				t.Fatalf("%s round %d: pooled stream diverged", w.name, round)
 			}
-			if round == 0 {
-				primed = eng.clones.Load()
-			} else if got := eng.clones.Load(); got != primed {
+			if got := eng.clones.Load(); got != primed {
 				t.Fatalf("%s round %d: primed pool still cloned %d networks", w.name, round, got-primed)
 			}
 		}

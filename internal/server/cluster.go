@@ -150,8 +150,9 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// admitSession tracks one request inside a session-addressed handler
-// and applies the per-session fairness budget. The in-flight count is
+// admitSession resolves the session of a session-addressed request,
+// tracks the request inside it, and applies the per-session fairness
+// budget; on failure the error is already written. The in-flight count is
 // maintained even with the budget disabled — the eviction paths
 // (MaxSessions LRU, idle reaper) consult it so a session is never torn
 // down with a request still inside a handler. With SessionBudget > 0 a
@@ -160,14 +161,18 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // the cap are shed immediately — no queueing — with
 // qerr.ErrBudgetExceeded, so one hot session cannot occupy every
 // admission slot and starve the rest.
-func (s *Server) admitSession(sess *session) (release func(), ok bool) {
+func (s *Server) admitSession(w http.ResponseWriter, r *http.Request) (sess *session, release func(), ok bool) {
+	if sess, ok = s.sessionOf(w, r); !ok {
+		return nil, nil, false
+	}
 	n := sess.inflight.Add(1)
 	if b := s.cfg.SessionBudget; b > 0 && n > int64(b) {
 		sess.inflight.Add(-1)
 		s.sessionSheds.Add(1)
-		return nil, false
+		writeErr(w, errSessionBudget(sess, b))
+		return nil, nil, false
 	}
-	return func() { sess.inflight.Add(-1) }, true
+	return sess, func() { sess.inflight.Add(-1) }, true
 }
 
 func errSessionBudget(sess *session, budget int) error {

@@ -273,13 +273,8 @@ func (s *session) applyDelete(id rel.TupleID) (invalidation, error) {
 // handleInsertTuples serves POST /v1/databases/{db}/tuples.
 func (s *Server) handleInsertTuples(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	sess, ok := s.sessionOf(w, r)
+	sess, sessRelease, ok := s.admitSession(w, r)
 	if !ok {
-		return
-	}
-	sessRelease, ok := s.admitSession(sess)
-	if !ok {
-		writeErr(w, errSessionBudget(sess, s.cfg.SessionBudget))
 		return
 	}
 	defer sessRelease()
@@ -340,13 +335,8 @@ func (s *Server) handleInsertTuples(w http.ResponseWriter, r *http.Request) {
 // handleDeleteTuple serves DELETE /v1/databases/{db}/tuples/{id}.
 func (s *Server) handleDeleteTuple(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	sess, ok := s.sessionOf(w, r)
+	sess, sessRelease, ok := s.admitSession(w, r)
 	if !ok {
-		return
-	}
-	sessRelease, ok := s.admitSession(sess)
-	if !ok {
-		writeErr(w, errSessionBudget(sess, s.cfg.SessionBudget))
 		return
 	}
 	defer sessRelease()

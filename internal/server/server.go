@@ -32,6 +32,12 @@
 //	DELETE /v1/cluster/nodes?url=…            remove a node from the ring
 //	GET    /healthz
 //
+// The explain-family routes (whyso and whyno, batch, causes,
+// explain/stream) share one request path and so one admission order:
+// the session's fairness budget, the database read lock, the body
+// decode, query resolution, then the server-wide worker budget. Watch
+// keeps its own order, since a subscription outlives its request.
+//
 // Errors carry a machine-readable taxonomy code (internal/qerr) in
 // ErrorResponse.Code alongside the human-readable message; the Go
 // client at the module root rehydrates codes into sentinel errors so
@@ -352,10 +358,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/databases", s.handleListDBs)
 	s.mux.HandleFunc("DELETE /v1/databases/{db}", s.handleDeleteDB)
 	s.mux.HandleFunc("POST /v1/databases/{db}/queries", s.handlePrepare)
-	s.mux.HandleFunc("POST /v1/databases/{db}/queries/{q}/whyso", s.explainHandler(false, true))
-	s.mux.HandleFunc("POST /v1/databases/{db}/queries/{q}/whyno", s.explainHandler(true, true))
-	s.mux.HandleFunc("POST /v1/databases/{db}/whyso", s.explainHandler(false, false))
-	s.mux.HandleFunc("POST /v1/databases/{db}/whyno", s.explainHandler(true, false))
+	s.mux.HandleFunc("POST /v1/databases/{db}/queries/{q}/whyso", s.explainHandler(false))
+	s.mux.HandleFunc("POST /v1/databases/{db}/queries/{q}/whyno", s.explainHandler(true))
+	s.mux.HandleFunc("POST /v1/databases/{db}/whyso", s.explainHandler(false))
+	s.mux.HandleFunc("POST /v1/databases/{db}/whyno", s.explainHandler(true))
 	s.mux.HandleFunc("POST /v1/databases/{db}/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/databases/{db}/causes", s.handleCauses)
 	s.mux.HandleFunc("POST /v1/databases/{db}/explain/stream", s.handleStream)
@@ -731,89 +737,129 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// explainHandler builds the whyso/whyno handler; prepared selects the
-// /queries/{q}/ variant over the inline-query variant.
-func (s *Server) explainHandler(whyNo, prepared bool) http.HandlerFunc {
+// openExplain starts the request path of every explain-family route:
+// openExplain, resolveQuery, admitExplain, then the engine (engineOf;
+// batch builds one per item). In admission order, it counts the
+// request, tracks it in flight, resolves the session, takes a slot of
+// the session's fairness budget, read-locks the session database, and
+// strictly decodes the body into req (an empty body leaves req zero
+// when emptyOK). On success the caller defers end, which releases all
+// of it; on failure the error is already written.
+func (s *Server) openExplain(w http.ResponseWriter, r *http.Request, req any, emptyOK bool) (sess *session, end func(), ok bool) {
+	s.requests.Add(1)
+	done := s.trackInflight()
+	sess, sessRelease, ok := s.admitSession(w, r)
+	if !ok {
+		done()
+		return nil, nil, false
+	}
+	// Everything below evaluates over the session database (query
+	// validation, engine construction, ranking, DTO rendering);
+	// mutations serialize behind the whole request.
+	sess.dbMu.RLock()
+	end = func() {
+		sess.dbMu.RUnlock()
+		sessRelease()
+		done()
+	}
+	if err := decodeJSON(r, s.cfg.MaxBodyBytes, req); err != nil && !(emptyOK && errors.Is(err, io.EOF)) {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		end()
+		return nil, nil, false
+	}
+	return sess, end, true
+}
+
+// admitExplain bounds the request by RequestTimeout and admits it
+// under the worker budget. On success the caller defers release, which
+// frees the slot and the deadline; on failure the error is already
+// written.
+func (s *Server) admitExplain(w http.ResponseWriter, r *http.Request) (ctx context.Context, release func(), ok bool) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	slot, ok := s.admit(ctx)
+	if !ok {
+		writeErr(w, errBudget("server at capacity: %v", ctx.Err()))
+		cancel()
+		return nil, nil, false
+	}
+	if s.cfg.testHookAdmitted != nil {
+		s.cfg.testHookAdmitted()
+	}
+	return ctx, func() { slot(); cancel() }, true
+}
+
+// resolveQuery resolves a query reference: a prepared query id (from
+// the body, or the {q} segment of the prepared whyso/whyno routes), or
+// an inline query string parsed and validated against the session
+// database. Exactly one must be given. A doubled, missing or
+// unparsable reference is ErrBadQuery and an unknown id
+// ErrQueryNotFound; validation errors keep their own codes.
+func (s *Server) resolveQuery(sess *session, queryID, inline string) (*rel.Query, string, error) {
+	switch {
+	case queryID != "" && inline != "":
+		return nil, "", qerr.Tag(qerr.ErrBadQuery, errors.New("query and query_id are mutually exclusive"))
+	case queryID != "":
+		pq, ok := sess.lookupQuery(queryID)
+		if !ok {
+			return nil, "", errQueryNotFound(queryID)
+		}
+		return pq.q, pq.id, nil
+	case inline != "":
+		q, err := parser.ParseQuery(inline)
+		if err != nil {
+			return nil, "", err
+		}
+		if err := q.Validate(sess.db); err != nil {
+			return nil, "", err
+		}
+		return q, "", nil
+	}
+	return nil, "", qerr.Tag(qerr.ErrBadQuery, errors.New("missing query or query_id"))
+}
+
+// engineOf is session.engineFor for one admitted request; a
+// certificate miss classified a new shape, which is worth persisting.
+func (s *Server) engineOf(sess *session, q *rel.Query, qID string, answer []string, whyNo bool) (eng *core.Engine, engineHit, certHit bool, err error) {
+	eng, engineHit, certHit, err = sess.engineFor(q, qID, toValues(answer), whyNo)
+	if err == nil && !certHit {
+		s.markDirty(sess)
+	}
+	return eng, engineHit, certHit, err
+}
+
+// explainHandler builds the whyso/whyno handler. The prepared routes
+// name their query in the {q} path segment, which is empty on the
+// inline routes; an empty body is a valid request on either.
+func (s *Server) explainHandler(whyNo bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
 		s.explains.Add(1)
-		done := s.trackInflight()
-		defer done()
-		sess, ok := s.sessionOf(w, r)
-		if !ok {
-			return
-		}
-		sessRelease, ok := s.admitSession(sess)
-		if !ok {
-			writeErr(w, errSessionBudget(sess, s.cfg.SessionBudget))
-			return
-		}
-		defer sessRelease()
-		// Everything below evaluates over the session database (query
-		// validation, engine construction, ranking, DTO rendering);
-		// mutations serialize behind the whole request.
-		sess.dbMu.RLock()
-		defer sess.dbMu.RUnlock()
 		var req ExplainRequest
-		if err := decodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil && !errors.Is(err, io.EOF) {
-			writeError(w, http.StatusBadRequest, "%v", err)
+		sess, end, ok := s.openExplain(w, r, &req, true)
+		if !ok {
 			return
 		}
+		defer end()
 		mode, err := core.ParseMode(req.Mode)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-
-		var q *rel.Query
-		qID := ""
-		if prepared {
-			pq, ok := sess.lookupQuery(r.PathValue("q"))
-			if !ok {
-				writeErr(w, errQueryNotFound(r.PathValue("q")))
-				return
-			}
-			if req.Query != "" {
-				writeError(w, http.StatusBadRequest, "inline query not allowed on a prepared-query endpoint")
-				return
-			}
-			q, qID = pq.q, pq.id
-		} else {
-			if req.Query == "" {
-				writeError(w, http.StatusBadRequest, "missing query")
-				return
-			}
-			q, err = parser.ParseQuery(req.Query)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			if err := q.Validate(sess.db); err != nil {
-				writeErr(w, err)
-				return
-			}
-		}
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		release, ok := s.admit(ctx)
-		if !ok {
-			writeErr(w, errBudget("server at capacity: %v", ctx.Err()))
-			return
-		}
-		defer release()
-		if s.cfg.testHookAdmitted != nil {
-			s.cfg.testHookAdmitted()
-		}
-
-		started := time.Now()
-		eng, engineHit, certHit, err := sess.engineFor(q, qID, toValues(req.Answer), whyNo)
+		q, qID, err := s.resolveQuery(sess, r.PathValue("q"), req.Query)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		if !certHit {
-			s.markDirty(sess) // a fresh classification is worth persisting
+		ctx, release, ok := s.admitExplain(w, r)
+		if !ok {
+			return
+		}
+		defer release()
+
+		started := time.Now()
+		eng, engineHit, certHit, err := s.engineOf(sess, q, qID, req.Answer, whyNo)
+		if err != nil {
+			writeErr(w, err)
+			return
 		}
 		exps, err := eng.Rank(ctx, mode, s.clampWorkers(req.Parallelism))
 		if err != nil {
@@ -840,29 +886,13 @@ func (s *Server) explainHandler(whyNo, prepared bool) http.HandlerFunc {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	s.explains.Add(1)
-	done := s.trackInflight()
-	defer done()
-	sess, ok := s.sessionOf(w, r)
-	if !ok {
-		return
-	}
-	sessRelease, ok := s.admitSession(sess)
-	if !ok {
-		writeErr(w, errSessionBudget(sess, s.cfg.SessionBudget))
-		return
-	}
-	defer sessRelease()
-	// The batch evaluates over the session database end to end;
-	// mutations serialize behind it.
-	sess.dbMu.RLock()
-	defer sess.dbMu.RUnlock()
 	var req BatchExplainRequest
-	if err := decodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	sess, end, ok := s.openExplain(w, r, &req, false)
+	if !ok {
 		return
 	}
+	defer end()
 	if len(req.Requests) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch")
 		return
@@ -873,66 +903,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Resolve every item to a query up front so URL-level errors (bad
-	// syntax, unknown prepared id) surface per-item without spending
-	// worker budget.
-	type resolved struct {
-		q   *rel.Query
-		qID string
-		err error
-	}
-	items := make([]resolved, len(req.Requests))
+	// Resolve every item to a query up front so query-reference errors
+	// (bad syntax, unknown prepared id) surface per-item without
+	// spending worker budget.
 	creqs := make([]core.BatchRequest, len(req.Requests))
+	qIDs := make([]string, len(req.Requests))
+	errs := make([]error, len(req.Requests))
 	for i, item := range req.Requests {
-		switch {
-		case item.QueryID != "" && item.Query != "":
-			items[i].err = fmt.Errorf("item %d: query and query_id are mutually exclusive", i)
-		case item.QueryID != "":
-			pq, ok := sess.lookupQuery(item.QueryID)
-			if !ok {
-				items[i].err = qerr.Tag(qerr.ErrQueryNotFound, fmt.Errorf("item %d: unknown prepared query %q", i, item.QueryID))
-				break
-			}
-			items[i].q, items[i].qID = pq.q, pq.id
-		case item.Query != "":
-			q, err := parser.ParseQuery(item.Query)
-			if err != nil {
-				items[i].err = fmt.Errorf("item %d: %w", i, err)
-				break
-			}
-			if err := q.Validate(sess.db); err != nil {
-				items[i].err = fmt.Errorf("item %d: %w", i, err)
-				break
-			}
-			items[i].q = q
-		default:
-			items[i].err = fmt.Errorf("item %d: missing query or query_id", i)
+		q, qID, err := s.resolveQuery(sess, item.QueryID, item.Query)
+		if err != nil {
+			errs[i] = fmt.Errorf("item %d: %w", i, err)
 		}
-		creqs[i] = core.BatchRequest{Query: items[i].q, Answer: toValues(item.Answer), WhyNo: item.WhyNo}
+		creqs[i] = core.BatchRequest{Query: q, Answer: toValues(item.Answer), WhyNo: item.WhyNo}
+		qIDs[i] = qID
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	release, ok := s.admit(ctx)
+	ctx, release, ok := s.admitExplain(w, r)
 	if !ok {
-		writeErr(w, errBudget("server at capacity: %v", ctx.Err()))
 		return
 	}
 	defer release()
-	if s.cfg.testHookAdmitted != nil {
-		s.cfg.testHookAdmitted()
-	}
 
-	workers := s.clampWorkers(req.Parallelism)
 	hits := make([]bool, len(creqs))
 	results, err := core.ExplainBatch(ctx, sess.db, creqs, core.BatchRunOptions{
-		Workers: workers,
+		Workers: s.clampWorkers(req.Parallelism),
 		Mode:    mode,
 		NewEngine: func(db *rel.Database, i int, creq core.BatchRequest) (*core.Engine, error) {
-			if items[i].err != nil {
-				return nil, items[i].err
+			if errs[i] != nil {
+				return nil, errs[i]
 			}
-			eng, engineHit, _, err := sess.engineFor(items[i].q, items[i].qID, creq.Answer, creq.WhyNo)
+			eng, engineHit, _, err := sess.engineFor(creq.Query, qIDs[i], creq.Answer, creq.WhyNo)
 			hits[i] = engineHit
 			return eng, err
 		},
@@ -957,87 +957,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// resolveQuery resolves a body-addressed query reference: a prepared
-// query id, or an inline query string parsed and validated against the
-// session database. Exactly one must be given.
-func (s *Server) resolveQuery(sess *session, queryID, inline string) (*rel.Query, string, error) {
-	switch {
-	case queryID != "" && inline != "":
-		return nil, "", qerr.Tag(qerr.ErrBadQuery, errors.New("query and query_id are mutually exclusive"))
-	case queryID != "":
-		pq, ok := sess.lookupQuery(queryID)
-		if !ok {
-			return nil, "", errQueryNotFound(queryID)
-		}
-		return pq.q, pq.id, nil
-	case inline != "":
-		q, err := parser.ParseQuery(inline)
-		if err != nil {
-			return nil, "", err
-		}
-		if err := q.Validate(sess.db); err != nil {
-			return nil, "", err
-		}
-		return q, "", nil
-	}
-	return nil, "", qerr.Tag(qerr.ErrBadQuery, errors.New("missing query or query_id"))
-}
-
 // handleCauses returns the actual causes (Theorem 3.2) of one answer
 // or non-answer without ranking them — the polynomial half of an
 // explanation. The per-answer engine it builds is cached, so a
 // following explain or stream against the same request skips straight
 // to responsibility ranking.
 func (s *Server) handleCauses(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	done := s.trackInflight()
-	defer done()
-	sess, ok := s.sessionOf(w, r)
-	if !ok {
-		return
-	}
-	sessRelease, ok := s.admitSession(sess)
-	if !ok {
-		writeErr(w, errSessionBudget(sess, s.cfg.SessionBudget))
-		return
-	}
-	defer sessRelease()
-	// Lineage computation reads the session database; mutations
-	// serialize behind the request.
-	sess.dbMu.RLock()
-	defer sess.dbMu.RUnlock()
 	var req CausesRequest
-	if err := decodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	sess, end, ok := s.openExplain(w, r, &req, false)
+	if !ok {
 		return
 	}
+	defer end()
 	q, qID, err := s.resolveQuery(sess, req.QueryID, req.Query)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-
-	// Lineage computation dominates a cold causes call; run it under
+	// Lineage computation dominates a cold causes call; it runs under
 	// the same admission budget as explains.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	release, ok := s.admit(ctx)
+	_, release, ok := s.admitExplain(w, r)
 	if !ok {
-		writeErr(w, errBudget("server at capacity: %v", ctx.Err()))
 		return
 	}
 	defer release()
-	if s.cfg.testHookAdmitted != nil {
-		s.cfg.testHookAdmitted()
-	}
 
-	eng, engineHit, certHit, err := sess.engineFor(q, qID, toValues(req.Answer), req.WhyNo)
+	eng, engineHit, _, err := s.engineOf(sess, q, qID, req.Answer, req.WhyNo)
 	if err != nil {
 		writeErr(w, err)
 		return
-	}
-	if !certHit {
-		s.markDirty(sess)
 	}
 	causes := eng.Causes()
 	ids := make([]int, len(causes))
@@ -1061,29 +1009,13 @@ func (s *Server) handleCauses(w http.ResponseWriter, r *http.Request) {
 // dichotomy this turns a minutes-long blocking ranking into a stream
 // whose first line arrives after a single exact search.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	s.explains.Add(1)
-	done := s.trackInflight()
-	defer done()
-	sess, ok := s.sessionOf(w, r)
-	if !ok {
-		return
-	}
-	sessRelease, ok := s.admitSession(sess)
-	if !ok {
-		writeErr(w, errSessionBudget(sess, s.cfg.SessionBudget))
-		return
-	}
-	defer sessRelease()
-	// The stream ranks over the session database until the terminal
-	// event; mutations serialize behind the entire stream.
-	sess.dbMu.RLock()
-	defer sess.dbMu.RUnlock()
 	var req StreamExplainRequest
-	if err := decodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	sess, end, ok := s.openExplain(w, r, &req, false)
+	if !ok {
 		return
 	}
+	defer end()
 	mode, err := core.ParseMode(req.Mode)
 	if err != nil {
 		writeErr(w, err)
@@ -1094,30 +1026,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	release, ok := s.admit(ctx)
+	ctx, release, ok := s.admitExplain(w, r)
 	if !ok {
-		writeErr(w, errBudget("server at capacity: %v", ctx.Err()))
 		return
 	}
 	defer release()
-	if s.cfg.testHookAdmitted != nil {
-		s.cfg.testHookAdmitted()
-	}
 
 	started := time.Now()
-	eng, _, certHit, err := sess.engineFor(q, qID, toValues(req.Answer), req.WhyNo)
+	eng, _, _, err := s.engineOf(sess, q, qID, req.Answer, req.WhyNo)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if !certHit {
-		s.markDirty(sess)
-	}
-
-	workers := s.clampWorkers(req.Parallelism)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -1134,7 +1054,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	n := 0
-	for ex, serr := range eng.RankStream(ctx, mode, core.StreamOptions{Workers: workers, CompletionOrder: req.CompletionOrder}) {
+	for ex, serr := range eng.RankStream(ctx, mode, core.StreamOptions{Workers: s.clampWorkers(req.Parallelism), CompletionOrder: req.CompletionOrder}) {
 		if serr != nil {
 			// Status is already written; the taxonomy travels in-band.
 			if ctx.Err() != nil {

@@ -292,6 +292,91 @@ func TestClientErrors4xx(t *testing.T) {
 	}
 }
 
+// TestQueryReferenceErrors pins one error taxonomy for query references
+// across the explain family: giving both a prepared id and an inline
+// query, giving neither, and bad syntax are 400 bad_query, an unknown
+// prepared id is 404 query_not_found. Each route gets the cases it can
+// express: the prepared whyso/whyno routes carry their id in the path
+// (so "neither" cannot happen and bad syntax is also "both"), the
+// inline ones take no query_id, and batch reports per item in a 200.
+func TestQueryReferenceErrors(t *testing.T) {
+	_, ts := newTest(t, Config{})
+	info := upload(t, ts, chainDBText)
+	const good, bad = "q(x) :- R(x,y), S(y)", "q(x) = R(x)"
+	var prep PrepareQueryResponse
+	if code := call(t, http.MethodPost, ts.URL+"/v1/databases/"+info.ID+"/queries",
+		PrepareQueryRequest{Query: good}, &prep); code != 201 {
+		t.Fatalf("prepare: status %d", code)
+	}
+	refs := []struct {
+		name string
+		ref  map[string]any
+		code string
+	}{
+		{"both", map[string]any{"query": good, "query_id": prep.ID}, "bad_query"},
+		{"neither", map[string]any{}, "bad_query"},
+		{"unknown id", map[string]any{"query_id": "zzz"}, "query_not_found"},
+		{"bad syntax", map[string]any{"query": bad}, "bad_query"},
+	}
+	type tc struct {
+		name, path string
+		body       map[string]any
+		code       string
+	}
+	var cases []tc
+	for _, why := range []string{"whyso", "whyno"} {
+		cases = append(cases,
+			tc{why + " prepared/both", "/queries/" + prep.ID + "/" + why, map[string]any{"query": good}, "bad_query"},
+			tc{why + " prepared/bad syntax", "/queries/" + prep.ID + "/" + why, map[string]any{"query": bad}, "bad_query"},
+			tc{why + " prepared/unknown id", "/queries/zzz/" + why, map[string]any{}, "query_not_found"},
+			tc{why + " inline/neither", "/" + why, map[string]any{}, "bad_query"},
+			tc{why + " inline/bad syntax", "/" + why, map[string]any{"query": bad}, "bad_query"},
+		)
+	}
+	for _, route := range []string{"causes", "explain/stream", "watch", "batch"} {
+		for _, ref := range refs {
+			body := ref.ref
+			if route == "batch" {
+				body = map[string]any{"requests": []map[string]any{ref.ref}}
+			}
+			cases = append(cases, tc{route + "/" + ref.name, "/" + route, body, ref.code})
+		}
+	}
+	statusOf := map[string]int{"bad_query": http.StatusBadRequest, "query_not_found": http.StatusNotFound}
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			raw, err := json.Marshal(c.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/databases/"+info.ID+c.path, "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var got ErrorResponse
+			wantStatus := statusOf[c.code]
+			if strings.HasPrefix(c.path, "/batch") {
+				var batch BatchExplainResponse
+				if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil || len(batch.Results) != 1 {
+					t.Fatalf("batch: status %d, %+v, err %v", resp.StatusCode, batch, err)
+				}
+				got = ErrorResponse{Error: batch.Results[0].Error, Code: batch.Results[0].Code}
+				if !strings.HasPrefix(got.Error, "item 0: ") {
+					t.Errorf("batch item error %q lacks its item prefix", got.Error)
+				}
+				wantStatus = http.StatusOK
+			} else if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				t.Fatalf("status %d, undecodable error body: %v", resp.StatusCode, err)
+			}
+			if resp.StatusCode != wantStatus || got.Code != c.code {
+				t.Errorf("status %d code %q (%s); want %d %q", resp.StatusCode, got.Code, got.Error, wantStatus, c.code)
+			}
+		})
+	}
+}
+
 // TestSessionEviction covers both eviction policies of the registry.
 func TestSessionEviction(t *testing.T) {
 	t.Run("max-sessions evicts LRU", func(t *testing.T) {

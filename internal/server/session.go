@@ -254,6 +254,15 @@ func (s *session) certsFor(q *rel.Query) (*certEntry, bool, error) {
 	return ce, false, nil
 }
 
+// queryKey names a query in the engine cache: a prepared query by its
+// id, an inline one by its shape key and canonical text.
+func queryKey(q *rel.Query, qID string) string {
+	if qID != "" {
+		return qID
+	}
+	return shapeKeyOf(q) + "\x1f" + q.String()
+}
+
 // engineKey identifies one (query, answer, why) engine in the session
 // cache. Values are length-prefixed so no answer — including ones
 // containing separator bytes — can collide with another (JSON requests
@@ -277,11 +286,7 @@ func engineKey(qkey string, answer []rel.Value, whyNo bool) string {
 // construction primed with the cached certificate pair. It reports
 // whether the engine and the certificate were cache hits.
 func (s *session) engineFor(q *rel.Query, qID string, answer []rel.Value, whyNo bool) (eng *core.Engine, engineHit, certHit bool, err error) {
-	qkey := qID
-	if qkey == "" {
-		qkey = shapeKeyOf(q) + "\x1f" + q.String()
-	}
-	ekey := engineKey(qkey, answer, whyNo)
+	ekey := engineKey(queryKey(q, qID), answer, whyNo)
 	if eng, ok := s.engines.Get(ekey); ok {
 		return eng, true, true, nil
 	}

@@ -431,12 +431,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	qkey := qID
-	if qkey == "" {
-		qkey = shapeKeyOf(q) + "\x1f" + q.String()
-	}
-	key := engineKey(qkey, toValues(req.Answer), req.WhyNo) + "|" + mode.String()
 	answer := toValues(req.Answer)
+	key := engineKey(queryKey(q, qID), answer, req.WhyNo) + "|" + mode.String()
 	rank := func() ([]ExplanationDTO, error) {
 		// Runs under dbMu (read side for the snapshot, the mutating
 		// request's write side for fanouts), so it takes no database lock
