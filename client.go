@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/querycause/querycause/internal/cluster"
 	"github.com/querycause/querycause/internal/parser"
 	"github.com/querycause/querycause/internal/qerr"
 	"github.com/querycause/querycause/internal/server"
@@ -391,6 +392,8 @@ func (c *Client) doKeyed(ctx context.Context, method, path string, in, out any, 
 // a topology change mid-flight, which settles within a hop or two —
 // the budget absorbs that instead of failing the request, and the
 // epoch-guarded rebase (maybeRebase) re-pins the client along the way.
+// A request that exhausts the budget refreshes the topology once
+// (reroute) and gets one more budget at the owner it names.
 const maxRedirectHops = 4
 
 // doOnce performs one HTTP exchange starting at url; routed is the
@@ -398,9 +401,12 @@ const maxRedirectHops = 4
 // transient enough for an idempotent retry. A cluster 307/308 is
 // followed without consuming a retry attempt — it is a re-route, not a
 // retry. A second redirect in one request re-pins the client to the
-// newest topology's owner; exhausting the hop budget is a retryable
-// failure (the topology is still converging).
+// newest topology's owner; exhausting the hop budget twice, once
+// before and once after a topology refresh, is a retryable failure
+// (the topology is still converging).
 func (c *Client) doOnce(ctx context.Context, method, url string, raw []byte, hasBody bool, out any, idemKey string) (routed string, retry bool, err error) {
+	loop := make(map[string]bool)
+	refreshed := false
 	for hop := 0; ; hop++ {
 		var body io.Reader
 		if hasBody {
@@ -425,7 +431,14 @@ func (c *Client) doOnce(ctx context.Context, method, url string, raw []byte, has
 			if lerr != nil {
 				return url, false, lerr
 			}
+			loop[originOf(url)] = true
 			if hop >= maxRedirectHops {
+				if !refreshed {
+					if owned, ok := c.reroute(ctx, url, loop); ok {
+						refreshed, hop, url = true, -1, owned
+						continue
+					}
+				}
 				return url, true, fmt.Errorf("querycaused: redirect loop: %s redirected again (to %s) after %d cluster hops; topology still converging", url, loc, hop)
 			}
 			if hop > 0 {
@@ -443,6 +456,60 @@ func (c *Client) doOnce(ctx context.Context, method, url string, raw []byte, has
 		}
 		return url, false, json.NewDecoder(resp.Body).Decode(out)
 	}
+}
+
+// originOf returns the scheme://host of an absolute URL, the form base
+// URLs and cluster members take.
+func originOf(raw string) string {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return raw
+	}
+	return u.Scheme + "://" + u.Host
+}
+
+// reroute refreshes the cluster topology after target's request used
+// up its redirect hops among the nodes in loop. It asks GET
+// /v1/cluster of every member the client knows (the pinned base and
+// the fallbacks) outside the loop — a node in the loop is one side of
+// the disagreement — keeps the answer with the highest epoch, and
+// returns target at the session's owner under that ring, re-pinning
+// the client there when the epoch is newer than any it has seen. ok is
+// false when target is not session-addressed or no member answers.
+func (c *Client) reroute(ctx context.Context, target string, loop map[string]bool) (owned string, ok bool) {
+	u, err := url.Parse(target)
+	if err != nil {
+		return "", false
+	}
+	id, ok := server.SessionPathID(u.Path)
+	if !ok {
+		return "", false
+	}
+	c.mu.Lock()
+	members := append([]string{c.base}, c.fallbacks...)
+	c.mu.Unlock()
+	var best ClusterInfo
+	asked := make(map[string]bool)
+	for _, m := range members {
+		if loop[m] || asked[m] {
+			continue
+		}
+		asked[m] = true
+		topo, err := NewClient(m, c.http).SetRetries(0).Cluster(ctx)
+		if err == nil && len(topo.Peers) > 0 && (best.Peers == nil || topo.Epoch > best.Epoch) {
+			best = topo
+		}
+	}
+	if best.Peers == nil {
+		return "", false
+	}
+	owner := cluster.New(best.Peers).Owner(id)
+	c.mu.Lock()
+	if best.Epoch > c.epoch {
+		c.epoch, c.base = best.Epoch, owner
+	}
+	c.mu.Unlock()
+	return owner + u.RequestURI(), true
 }
 
 // redirectTarget drains a redirect response and resolves its Location
@@ -673,6 +740,8 @@ func (c *Client) ExplainStream(ctx context.Context, dbID string, sreq StreamExpl
 // response body.
 func (c *Client) openStream(ctx context.Context, path string, raw []byte) (*http.Response, error) {
 	url := c.Base() + path
+	loop := make(map[string]bool)
+	refreshed := false
 	for hop := 0; ; hop++ {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
 		if err != nil {
@@ -694,7 +763,14 @@ func (c *Client) openStream(ctx context.Context, path string, raw []byte) (*http
 			if err != nil {
 				return nil, err
 			}
+			loop[originOf(url)] = true
 			if hop >= maxRedirectHops {
+				if !refreshed {
+					if owned, ok := c.reroute(ctx, url, loop); ok {
+						refreshed, hop, url = true, -1, owned
+						continue
+					}
+				}
 				return nil, fmt.Errorf("querycaused: redirect loop: %s redirected again (to %s) after %d cluster hops; topology still converging", url, loc, hop)
 			}
 			if hop > 0 {

@@ -2,6 +2,8 @@ package querycause_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	qc "github.com/querycause/querycause"
+	"github.com/querycause/querycause/internal/cluster"
 	"github.com/querycause/querycause/internal/imdb"
 	"github.com/querycause/querycause/internal/server"
 )
@@ -212,5 +215,109 @@ func TestDialRoutesToOwner(t *testing.T) {
 		if st.ClusterRedirected != 0 || st.ClusterProxied != 0 {
 			t.Fatalf("node %s redirected=%d proxied=%d, want 0/0 (Dial should route client-side)", u, st.ClusterRedirected, st.ClusterProxied)
 		}
+	}
+}
+
+// TestClientRedirectLoopRefreshesTopology: two nodes serving a stale
+// ring bounce a request between each other. After its hop budget the
+// client refreshes GET /v1/cluster once, from the members it knows
+// outside the loop, and retries at the owner the newest ring names —
+// for plain requests and for streams alike. When the refreshed ring
+// still routes into the loop, the request fails as before, after
+// exactly one refresh.
+func TestClientRedirectLoopRefreshesTopology(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		ownerFresh bool // the owner's ring includes itself
+		stream     bool
+	}{
+		{name: "refresh routes to owner", ownerFresh: true},
+		{name: "refresh routes stream to owner", ownerFresh: true, stream: true},
+		{name: "refreshed ring still loops", ownerFresh: false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s1URL, s2URL, ownerURL string
+			var sessionHits, clusterHits, staleHits atomic.Int32
+			stale := func(next *string) *httptest.Server {
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					staleHits.Add(1)
+					if r.URL.Path == "/v1/cluster" {
+						json.NewEncoder(w).Encode(qc.ClusterInfo{Peers: []string{s1URL, s2URL}, Epoch: 1})
+						return
+					}
+					io.Copy(io.Discard, r.Body)
+					w.Header().Set(server.EpochHeader, "1")
+					http.Redirect(w, r, *next+r.URL.RequestURI(), http.StatusTemporaryRedirect)
+				}))
+				t.Cleanup(ts.Close)
+				return ts
+			}
+			s1, s2 := stale(&s2URL), stale(&s1URL)
+			s1URL, s2URL = s1.URL, s2.URL
+			owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.URL.Path == "/v1/cluster":
+					clusterHits.Add(1)
+					peers := []string{s1URL, s2URL}
+					if tc.ownerFresh {
+						peers = append(peers, ownerURL)
+					}
+					json.NewEncoder(w).Encode(qc.ClusterInfo{Peers: peers, Epoch: 2})
+				case strings.HasSuffix(r.URL.Path, "/explain/stream"):
+					sessionHits.Add(1)
+					w.Write([]byte(`{"done":{"causes":0}}` + "\n"))
+				default:
+					sessionHits.Add(1)
+					w.Write([]byte(`{}`))
+				}
+			}))
+			t.Cleanup(owner.Close)
+			ownerURL = owner.URL
+
+			// A session id the refreshed ring assigns to the owner (or, for
+			// the still-looping ring, to a stale node).
+			ring := cluster.New([]string{s1URL, s2URL, ownerURL})
+			id := ""
+			for i := 1; id == ""; i++ {
+				if cand := fmt.Sprintf("d%d", i); ring.Owner(cand) == ownerURL {
+					id = cand
+				}
+			}
+
+			c := qc.NewClient(s1URL, nil).SetFallbacks([]string{s1URL, s2URL, ownerURL})
+			ctx := context.Background()
+			var err error
+			if tc.stream {
+				for _, serr := range c.ExplainStream(ctx, id, qc.StreamExplainRequest{Query: "q :- R(x)"}) {
+					err = serr
+				}
+			} else {
+				_, err = c.WhySo(ctx, id, "", qc.ExplainRequest{Query: "q :- R(x)"})
+			}
+			if got := clusterHits.Load(); got != 1 {
+				t.Fatalf("owner served /v1/cluster %d times, want exactly one refresh", got)
+			}
+			if got := staleHits.Load(); got > 2*(4+1) {
+				t.Fatalf("stale nodes got %d requests, want at most two hop budgets", got)
+			}
+			if !tc.ownerFresh {
+				if err == nil || !strings.Contains(err.Error(), "topology still converging") {
+					t.Fatalf("err = %v, want the redirect loop to fail after the refresh", err)
+				}
+				if got := sessionHits.Load(); got != 0 {
+					t.Fatalf("owner got %d session requests, want 0", got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("request after refresh: %v", err)
+			}
+			if got := sessionHits.Load(); got != 1 {
+				t.Fatalf("owner got %d session requests, want 1", got)
+			}
+			if got := c.Base(); got != ownerURL {
+				t.Fatalf("client pinned to %s after the refresh, want the owner %s", got, ownerURL)
+			}
+		})
 	}
 }

@@ -138,10 +138,12 @@ type Explanation struct {
 // over one database instance. Build one per (db, query, answer). An
 // Engine may be shared by concurrent goroutines (e.g. a server
 // answering repeated explain requests): the lazily computed
-// certificates and base flow networks are mutex-guarded and read-only
-// once built, every flow computation runs on a private clone taken
-// from a per-engine pool, and everything else is immutable after
-// construction.
+// certificates, base flow networks and sorted rankings are
+// mutex-guarded and read-only once built, every flow computation runs
+// on a private clone taken from a per-engine pool, and everything else
+// is immutable after construction. A mutation that can change an
+// engine's answers replaces or drops the engine (see internal/server's
+// invalidation), so none of these caches needs invalidating.
 type Engine struct {
 	db    *rel.Database
 	q     *rel.Query
@@ -159,11 +161,16 @@ type Engine struct {
 
 	// mu guards the lazy caches below; all other fields are read-only
 	// after newEngine returns. A cached network is a clone template:
-	// nothing solves on it, so cloning it needs no lock.
+	// nothing solves on it, so cloning it needs no lock. ranks memoizes
+	// Rank's sorted result per mode, allocated by the first Rank (most
+	// engines of an in-process session are never ranked twice); Rank
+	// hands out deep copies, so the memo itself is never written after
+	// it is stored.
 	mu        sync.Mutex
 	soundCert *rewrite.Certificate
 	paperCert *rewrite.Certificate
 	nets      map[Mode]*respflow.Network
+	ranks     map[Mode][]Explanation
 	// netPool parks private network clones between flow computations
 	// (see acquireNet/releaseNet in stream.go); guarded by poolMu.
 	// clones counts the networks ever cloned from a template, so tests

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/querycause/querycause/internal/rel"
 	"github.com/querycause/querycause/internal/respflow"
 )
 
@@ -54,7 +55,20 @@ func ResolveWorkers(requested int) int {
 // is byte-identical for every worker count. Rank honors ctx between
 // per-cause computations (a single exact search is not interruptible)
 // and returns ctx.Err() if canceled before completion.
+//
+// A ranking is a pure function of the engine and mode, so the first
+// completed Rank per mode is memoized and later calls solve nothing.
+// Every call returns its own deep copy: callers may modify it freely.
 func (e *Engine) Rank(ctx context.Context, mode Mode, workers int) ([]Explanation, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	memo, ok := e.ranks[mode]
+	e.mu.Unlock()
+	if ok {
+		return cloneExplanations(memo), nil
+	}
 	out := make([]Explanation, 0, len(e.causes))
 	for ex, err := range e.RankStream(ctx, mode, StreamOptions{Workers: workers, CompletionOrder: true}) {
 		if err != nil {
@@ -63,7 +77,34 @@ func (e *Engine) Rank(ctx context.Context, mode Mode, workers int) ([]Explanatio
 		out = append(out, ex)
 	}
 	SortExplanations(out)
-	return out, nil
+	e.mu.Lock()
+	if e.ranks == nil {
+		e.ranks = make(map[Mode][]Explanation)
+	}
+	e.ranks[mode] = out
+	e.mu.Unlock()
+	return cloneExplanations(out), nil
+}
+
+// cloneExplanations deep-copies a ranking. All contingencies share one
+// backing array, each capped at its own length so that appending to one
+// reallocates instead of overwriting its neighbour; nil contingencies
+// (non-causes) stay nil and empty ones (counterfactual causes) empty.
+func cloneExplanations(src []Explanation) []Explanation {
+	n := 0
+	for _, ex := range src {
+		n += len(ex.Contingency)
+	}
+	ids := make([]rel.TupleID, n)
+	out := make([]Explanation, len(src))
+	for i, ex := range src {
+		out[i] = ex
+		if ex.Contingency != nil {
+			k := copy(ids, ex.Contingency)
+			out[i].Contingency, ids = ids[:k:k], ids[k:]
+		}
+	}
+	return out
 }
 
 // RankAll is Rank on one worker, without cancellation.

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 
@@ -200,6 +201,9 @@ func (cd *ClusterDiff) Check(inst *causegen.Instance, want []core.Explanation) e
 		hj, _ := json.Marshal(hopped.Explanations)
 		if !bytes.Equal(dj, hj) {
 			return fmt.Errorf("clusterdiff: redirected ranking differs from owner's:\nowner: %s\nhop:   %s", dj, hj)
+		}
+		if !maps.Equal(direct.Tuples, hopped.Tuples) {
+			return fmt.Errorf("clusterdiff: redirected tuple table differs from owner's:\nowner: %v\nhop:   %v", direct.Tuples, hopped.Tuples)
 		}
 	}
 

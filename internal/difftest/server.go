@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -61,7 +62,9 @@ func (sd *ServerDiff) Check(inst *causegen.Instance, want []core.Explanation) er
 	}
 	defer sd.deleteSession(info.ID)
 
-	wantDTO, err := json.Marshal(serverDTOs(inst.DB, want))
+	// The server renders through the same function (see serverDTOs).
+	wantDTOs, wantTuples := server.RenderRanking(inst.DB, want)
+	wantDTO, err := json.Marshal(wantDTOs)
 	if err != nil {
 		return err
 	}
@@ -81,6 +84,9 @@ func (sd *ServerDiff) Check(inst *causegen.Instance, want []core.Explanation) er
 	}
 	if !bytes.Equal(gotDTO, wantDTO) {
 		return fmt.Errorf("serverdiff: %s ranking differs from library:\nserver:  %s\nlibrary: %s", kind, gotDTO, wantDTO)
+	}
+	if !maps.Equal(resp.Tuples, wantTuples) {
+		return fmt.Errorf("serverdiff: %s tuple table differs from library:\nserver:  %v\nlibrary: %v", kind, resp.Tuples, wantTuples)
 	}
 
 	// Batch endpoint: the same instance as a one-item batch must also
@@ -110,6 +116,9 @@ func (sd *ServerDiff) Check(inst *causegen.Instance, want []core.Explanation) er
 	}
 	if !bytes.Equal(gotBatch, wantDTO) {
 		return fmt.Errorf("serverdiff: batch ranking differs from library:\nserver:  %s\nlibrary: %s", gotBatch, wantDTO)
+	}
+	if !maps.Equal(batch.Results[0].Tuples, wantTuples) {
+		return fmt.Errorf("serverdiff: batch tuple table differs from library:\nserver:  %v\nlibrary: %v", batch.Results[0].Tuples, wantTuples)
 	}
 	return nil
 }

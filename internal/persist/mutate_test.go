@@ -39,8 +39,8 @@ func TestRoundTripWithDeletions(t *testing.T) {
 	if got.Live(0) || got.Live(id) {
 		t.Fatal("restore revived deleted tuples")
 	}
-	if got.Version() != db.Version() {
-		t.Fatalf("version: want %d, got %d", db.Version(), got.Version())
+	if got.Version() != db.Version() || back.Version() != db.Version() {
+		t.Fatalf("version: want %d, got %d (snapshot reports %d)", db.Version(), got.Version(), back.Version())
 	}
 	if got.NumLive() != db.NumLive() {
 		t.Fatalf("live count: want %d, got %d", db.NumLive(), got.NumLive())

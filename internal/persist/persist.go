@@ -116,6 +116,16 @@ type Snapshot struct {
 	// Idem nil — no records, never an error (gob tolerates the missing
 	// field).
 	Idem []Idempotency
+	// Identity is drawn at random when the session is created and kept
+	// by every snapshot, restore and handoff of it, so two sessions that
+	// different nodes minted under the same id tell apart. Snapshots
+	// written before this field decode with Identity 0: unknown.
+	Identity uint64
+	// Holder is the cluster node (its ring URL) that wrote the snapshot,
+	// "" outside a cluster. A node that hands a session off removes its
+	// own snapshot of it, but not one the new owner wrote into a store
+	// the two share.
+	Holder string
 }
 
 // Idempotency is one deduplicated mutation: the client-supplied
@@ -213,6 +223,19 @@ func (snap *Snapshot) Database() (*rel.Database, error) {
 		}
 	}
 	return db, nil
+}
+
+// Version is the database version the snapshot restores to: Database
+// replays one add per recorded tuple and one delete per recorded
+// deletion, and rel counts each as one mutation.
+func (snap *Snapshot) Version() uint64 {
+	v := uint64(len(snap.Tuples))
+	for _, t := range snap.Tuples {
+		if t.Deleted {
+			v++
+		}
+	}
+	return v
 }
 
 // Store reads and writes session snapshots under one directory.

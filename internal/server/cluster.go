@@ -48,11 +48,11 @@ type clusterState struct {
 	proxies map[string]*httputil.ReverseProxy
 }
 
-// sessionPathID extracts the session id from a /v1/databases/{id}[/…]
+// SessionPathID extracts the session id from a /v1/databases/{id}[/…]
 // path, reporting false for paths that are not session-addressed
 // (upload, list, stats, health — those are answered locally by any
 // node).
-func sessionPathID(path string) (string, bool) {
+func SessionPathID(path string) (string, bool) {
 	rest, ok := strings.CutPrefix(path, "/v1/databases/")
 	if !ok || rest == "" {
 		return "", false
@@ -65,7 +65,7 @@ func sessionPathID(path string) (string, bool) {
 // servers never reach it (Handler returns the mux directly).
 func (s *Server) clusterHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id, ok := sessionPathID(r.URL.Path)
+		id, ok := SessionPathID(r.URL.Path)
 		if !ok {
 			s.mux.ServeHTTP(w, r)
 			return

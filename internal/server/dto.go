@@ -73,11 +73,11 @@ type ExplanationDTO struct {
 	Tuple   string  `json:"tuple"`
 	Rho     float64 `json:"rho"`
 	// ContingencySize is min|Γ|; -1 when the tuple is not a cause.
-	ContingencySize int      `json:"contingency_size"`
-	Contingency     []string `json:"contingency,omitempty"`
-	// ContingencyIDs carries the contingency as tuple ids, parallel to
-	// Contingency, so remote clients can rehydrate a core.Explanation
-	// bit-for-bit.
+	ContingencySize int `json:"contingency_size"`
+	// ContingencyIDs is the contingency as tuple ids, so remote clients
+	// can rehydrate a core.Explanation bit-for-bit. The same few tuples
+	// recur across the causes of one answer, so their rendered form
+	// travels once per response, in the enclosing Tuples table.
 	ContingencyIDs []int  `json:"contingency_ids,omitempty"`
 	Method         string `json:"method"`
 }
@@ -99,7 +99,10 @@ type ExplainResponse struct {
 	CertificateCached bool             `json:"certificate_cached"`
 	Causes            int              `json:"causes"`
 	Explanations      []ExplanationDTO `json:"explanations"`
-	ElapsedMicros     int64            `json:"elapsed_micros"`
+	// Tuples maps every tuple id the explanations' contingency_ids name
+	// to its rendered form ("R^n(a,b)"), each tuple rendered once.
+	Tuples        map[int]string `json:"tuples,omitempty"`
+	ElapsedMicros int64          `json:"elapsed_micros"`
 }
 
 // BatchExplainRequest explains many answers/non-answers in one call; it
@@ -138,6 +141,7 @@ type BatchItemResult struct {
 	EngineCached bool             `json:"engine_cached"`
 	Causes       int              `json:"causes"`
 	Explanations []ExplanationDTO `json:"explanations,omitempty"`
+	Tuples       map[int]string   `json:"tuples,omitempty"`
 }
 
 // StatsResponse is the /v1/stats payload: session registry occupancy,
@@ -331,10 +335,12 @@ type StreamEvent struct {
 	Error       *ErrorResponse  `json:"error,omitempty"`
 }
 
-// StreamDone is the terminal event of a successful stream.
+// StreamDone is the terminal event of a successful stream. Tuples
+// renders every tuple the streamed explanations' contingency_ids name.
 type StreamDone struct {
-	Causes        int   `json:"causes"`
-	ElapsedMicros int64 `json:"elapsed_micros"`
+	Causes        int            `json:"causes"`
+	Tuples        map[int]string `json:"tuples,omitempty"`
+	ElapsedMicros int64          `json:"elapsed_micros"`
 }
 
 // TupleSpec describes one tuple to insert: the relation name, its
@@ -429,6 +435,9 @@ type WatchEvent struct {
 	CausesAdded   []ExplanationDTO `json:"causes_added,omitempty"`
 	CausesRemoved []int            `json:"causes_removed,omitempty"`
 	RankChanged   []RankChangeDTO  `json:"rank_changed,omitempty"`
+	// Tuples renders every tuple the frame's explanations (Ranking,
+	// CausesAdded, and each RankChanged New) name in contingency_ids.
+	Tuples map[int]string `json:"tuples,omitempty"`
 	// Error carries the failure of an "error" frame.
 	Error *ErrorResponse `json:"error,omitempty"`
 }

@@ -15,14 +15,17 @@
 //     encoded snapshot to the new owner.
 //  3. The new owner installs the snapshot (displacing any stale copy
 //     it lazily restored meanwhile) and persists it.
-//  4. Only then does the old owner drop its copy and close the
-//     session's watch streams; subscribers reconnect — routed to the
-//     new owner — and resume their diff chains with resume_from.
+//  4. Only then does the old owner drop its copy, and its snapshot of
+//     it, and close the session's watch streams; subscribers reconnect
+//     — routed to the new owner — and resume their diff chains with
+//     resume_from.
 //
 // A failed transfer unfreezes the session on the old owner: better a
-// stale-but-serving owner than a session nobody holds. Requests that
-// land between drop and install answer 503 (the handoff grace window
-// in sessionOf), never 404.
+// stale-but-serving owner than a session nobody holds. So does a
+// refused one: a new owner that minted the same id for a session of
+// its own answers 409 and keeps it (sessions carry a random identity
+// to tell the two apart). Requests that land between drop and install
+// answer 503 (the handoff grace window in sessionOf), never 404.
 package server
 
 import (
@@ -177,9 +180,12 @@ func (s *Server) handleClusterTopology(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionTransfer serves PUT /v1/cluster/sessions/{db}: the
 // receiving half of a handoff. The body is a persist-encoded snapshot
-// of the frozen session; it displaces any copy this node holds (a
-// lazily-restored stale snapshot loses to the old owner's final
-// state) and is persisted immediately.
+// of the frozen session; it displaces any copy of the same session this
+// node holds (a lazily-restored stale snapshot loses to the old owner's
+// final state) and is persisted before the acknowledgment, so the
+// sender may drop its own snapshot. A copy of another session under the
+// same id (this node minted the id too) is never displaced: the push is
+// refused with 409.
 func (s *Server) handleSessionTransfer(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	if !s.clusterOnly(w) {
@@ -200,81 +206,145 @@ func (s *Server) handleSessionTransfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "snapshot is for session %q, not %q", snap.ID, id)
 		return
 	}
-	s.reg.remove(id)
-	sess, err := s.reg.restore(snap)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "restoring session %s: %v", id, err)
-		return
+	install := true
+	if held, ok := s.heldSnapshot(id); ok {
+		if held.Identity != 0 && snap.Identity != 0 && held.Identity != snap.Identity {
+			writeError(w, http.StatusConflict, "session %s here is another session under the same id", id)
+			return
+		}
+		if r.URL.Query().Has(restoredParam) && held.Version() >= snap.Version() {
+			// A restored snapshot may be older than the copy this owner
+			// holds: keep a copy at least as new.
+			snap, install = held, false
+		}
 	}
-	s.markDirty(sess)
-	s.handoffsIn.Add(1)
+	if s.store != nil {
+		snap.Holder = s.cluster.self
+		if err := s.store.Save(snap); err != nil {
+			writeError(w, http.StatusInternalServerError, "persisting session %s: %v", id, err)
+			return
+		}
+	}
+	if install {
+		s.reg.remove(id)
+		sess, err := s.reg.restore(snap)
+		if err != nil {
+			writeError(w, http.StatusUnprocessableEntity, "restoring session %s: %v", id, err)
+			return
+		}
+		// A flush of the displaced copy may be in flight.
+		s.markDirty(sess)
+		s.handoffsIn.Add(1)
+	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// heldSnapshot snapshots this node's copy of session id: the live
+// session, else the one in its store.
+func (s *Server) heldSnapshot(id string) (*persist.Snapshot, bool) {
+	if sess, ok := s.reg.get(id); ok {
+		snap, err := s.snapshotOf(sess)
+		return snap, err == nil
+	}
+	if s.store == nil {
+		return nil, false
+	}
+	snap, err := s.store.Load(id)
+	return snap, err == nil
 }
 
 // Rebalance hands every live session this node no longer owns to its
 // new owner. Membership changes run it in the background; tests and
 // operators may call it directly (it is idempotent — a session that
 // already moved is simply no longer live here).
-func (s *Server) Rebalance() {
+func (s *Server) Rebalance() { s.rebalance(false) }
+
+// rebalance runs one handoff pass (restored marks its pushes; see
+// transferSession) and returns how many sessions failed to move and
+// may move on a retry. A session its owner refused (409) stays here and
+// does not count: the owner would refuse it again.
+func (s *Server) rebalance(restored bool) (retry int) {
 	if s.cluster == nil {
-		return
+		return 0
 	}
 	for _, sess := range s.reg.list() {
 		owner := s.cluster.ring.Owner(sess.id)
 		if owner == "" || owner == s.cluster.self {
 			continue
 		}
-		s.transferSession(sess, owner)
+		if s.ctx.Err() != nil {
+			break
+		}
+		if code := s.transferSession(sess, owner, restored); code/100 != 2 && code != http.StatusConflict {
+			retry++
+		}
 	}
+	return retry
 }
 
 // transferSession executes the sending half of one handoff (see the
-// package comment for the protocol). On failure the session unfreezes
-// and stays local; the next topology change retries.
-func (s *Server) transferSession(sess *session, owner string) {
+// package comment for the protocol) and returns the owner's status
+// code, 0 when the push did not get an answer. Unless the owner
+// acknowledged, the session unfreezes and stays local; the next
+// topology change (or, for a restored session, the boot handoff's next
+// pass) retries. restored marks a session this node restored from its
+// snapshot store rather than one it served: the owner keeps its own
+// copy when that is at least as new.
+func (s *Server) transferSession(sess *session, owner string, restored bool) int {
 	sess.dbMu.Lock()
 	sess.moved.Store(true)
 	sess.dbMu.Unlock()
-	if !s.pushSession(sess, owner) {
+	code := s.pushSession(sess, owner, restored)
+	if code/100 != 2 {
 		sess.moved.Store(false)
 		s.handoffFails.Add(1)
-		return
+		return code
 	}
 	// The new owner has acknowledged the authoritative state: stop
 	// serving here. Watch subscribers see their channels close, end
 	// their streams, and reconnect with resume_from — routed to the new
-	// owner. The local snapshot file is left in place (the new owner's
-	// write-behind displaces it in a shared store; in a split store it
-	// is inert, since routing never sends the session here again).
+	// owner. The owner persisted the session before acknowledging, so
+	// this node's snapshot goes too.
 	sess.watch.CloseAll()
 	s.reg.remove(sess.id)
 	if s.wb != nil {
 		s.wb.Forget(sess.id)
 	}
+	s.dropHandedOff(sess.id, owner)
 	s.handoffsOut.Add(1)
+	return code
 }
 
-// pushSession snapshots the frozen session and PUTs it to owner,
-// reporting acknowledgment.
-func (s *Server) pushSession(sess *session, owner string) bool {
+// restoredParam is the query parameter marking a handoff of a restored
+// session (see transferSession).
+const restoredParam = "restored"
+
+// pushSession snapshots the frozen session, PUTs it to owner and
+// returns the status code, 0 when the push got no answer (Close aborts
+// a push in flight).
+func (s *Server) pushSession(sess *session, owner string, restored bool) int {
 	snap, err := sess.snapshot()
 	if err != nil {
-		return false
+		return 0
 	}
 	data, err := persist.Encode(snap)
 	if err != nil {
-		return false
+		return 0
 	}
-	req, err := http.NewRequest(http.MethodPut, owner+"/v1/cluster/sessions/"+url.PathEscape(sess.id), bytes.NewReader(data))
+	target := owner + "/v1/cluster/sessions/" + url.PathEscape(sess.id)
+	if restored {
+		target += "?" + restoredParam + "=1"
+	}
+	req, err := http.NewRequestWithContext(s.ctx, http.MethodPut, target, bytes.NewReader(data))
 	if err != nil {
-		return false
+		return 0
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := s.cluster.peers.Do(req)
 	if err != nil {
-		return false
+		return 0
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
-	return resp.StatusCode/100 == 2
+	return resp.StatusCode
 }

@@ -4,9 +4,10 @@
 // and the write-behind flusher serializes the latest state in the
 // background; graceful drain flushes synchronously so a SIGTERM'd
 // server persists everything before exiting. On boot the registry is
-// rehydrated from every snapshot on disk, and a request for a session
-// that is not in memory (evicted, or owned by a restarted node) falls
-// back to a lazy disk load — the warm-restart path.
+// rehydrated from every snapshot on disk, restored sessions the ring
+// assigns to another node are handed to their owner, and a request for
+// a session that is not in memory (evicted, or owned by a restarted
+// node) falls back to a lazy disk load — the warm-restart path.
 package server
 
 import (
@@ -29,7 +30,7 @@ import (
 // traffic — the database is read-locked against mutations and the
 // caches lock internally.
 func (s *session) snapshot() (*persist.Snapshot, error) {
-	snap := &persist.Snapshot{ID: s.id}
+	snap := &persist.Snapshot{ID: s.id, Identity: s.identity}
 	s.dbMu.RLock()
 	snap.SetDatabase(s.db)
 	// The dedup cache rides along under the same read lock, so the
@@ -102,16 +103,17 @@ func (r *registry) restore(snap *persist.Snapshot) (*session, error) {
 	}
 	now := r.clock()
 	s := &session{
-		id:      snap.ID,
-		db:      db,
-		endo:    endo,
-		created: now,
-		watch:   NewWatchSet(),
-		noDelta: r.disableDelta,
-		byID:    make(map[string]*preparedQuery),
-		idem:    make(map[string][]byte),
-		certs:   cache.New[string, *certEntry](r.certCap, nil),
-		engines: cache.New[string, *core.Engine](r.engineCap, nil),
+		id:       snap.ID,
+		identity: snap.Identity,
+		db:       db,
+		endo:     endo,
+		created:  now,
+		watch:    NewWatchSet(),
+		noDelta:  r.disableDelta,
+		byID:     make(map[string]*preparedQuery),
+		idem:     make(map[string][]byte),
+		certs:    cache.New[string, *certEntry](r.certCap, nil),
+		engines:  cache.New[string, *core.Engine](r.engineCap, nil),
 	}
 	for _, rec := range snap.Idem {
 		s.rememberIdem(rec.Key, rec.Response)
@@ -175,7 +177,7 @@ func (s *Server) markDirty(sess *session) {
 	if s.wb == nil {
 		return
 	}
-	s.wb.Mark(sess.id, sess.snapshot)
+	s.wb.Mark(sess.id, func() (*persist.Snapshot, error) { return s.snapshotOf(sess) })
 }
 
 // loadSession is the lazy warm path: a request for a session that is
@@ -197,22 +199,70 @@ func (s *Server) loadSession(id string) (*session, bool) {
 	return sess, true
 }
 
-// restoreAll rehydrates every snapshot in the store; New calls it
-// before the server starts serving, so a restarted replica is warm.
-// Unreadable snapshots are skipped (and counted) — one corrupt file
-// must not keep the node down.
-func (s *Server) restoreAll() (restored int, failed int) {
-	snaps, errs := s.store.LoadAll()
-	failed = len(errs)
+// restoreAll rehydrates every snapshot in the store and returns how
+// many it restored; New calls it before the server starts serving, so
+// a restarted replica is warm. Unreadable snapshots are skipped — one
+// corrupt file must not keep the node down.
+func (s *Server) restoreAll() int {
+	snaps, _ := s.store.LoadAll()
+	restored := 0
 	for _, snap := range snaps {
 		if _, err := s.reg.restore(snap); err != nil {
-			failed++
 			continue
 		}
 		s.restored.Add(1)
 		restored++
 	}
-	return restored, failed
+	return restored
+}
+
+// Boot handoff retry pacing: the first retry follows quickly (the
+// owner is often a peer booting alongside this node), later ones back
+// off to a slow poll of a peer that stays down.
+const (
+	handoffRetryBase = 100 * time.Millisecond
+	handoffRetryCap  = 5 * time.Second
+)
+
+// handOffRestored hands the restored sessions the ring assigns to
+// another node over to their owners. A restart under a changed peer
+// list restores snapshots this node no longer owns, and a snapshot
+// store shared by the ring restores every node's sessions on every
+// node; left here, such a session is redirected to an owner that may
+// lack it. The owner may still be booting, so the pass repeats, with
+// backoff, until every push it may retry is acknowledged or the server
+// closes.
+func (s *Server) handOffRestored() {
+	defer s.bg.Done()
+	for delay := handoffRetryBase; s.rebalance(true) > 0; delay = min(2*delay, handoffRetryCap) {
+		select {
+		case <-s.ctx.Done():
+			return
+		case <-time.After(delay):
+		}
+	}
+}
+
+// snapshotOf snapshots sess with this node as the holder.
+func (s *Server) snapshotOf(sess *session) (*persist.Snapshot, error) {
+	snap, err := sess.snapshot()
+	if err == nil && s.cluster != nil {
+		snap.Holder = s.cluster.self
+	}
+	return snap, err
+}
+
+// dropHandedOff removes this node's snapshot of a session it handed to
+// owner, so no restart restores (and hands back) a copy the owner may
+// since have mutated or deleted. A snapshot owner wrote stays: the two
+// share the store, and it is the owner's now.
+func (s *Server) dropHandedOff(id, owner string) {
+	if s.store == nil {
+		return
+	}
+	if snap, err := s.store.Load(id); err == nil && snap.Holder != owner {
+		_ = s.store.Delete(id)
+	}
 }
 
 // Flush synchronously writes every dirty session snapshot. The drain

@@ -61,6 +61,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -255,8 +256,13 @@ type Server struct {
 	wb       *persist.WriteBehind
 	restored atomic.Uint64
 
-	reaperDone chan struct{}
-	closed     atomic.Bool
+	// ctx is canceled by Close, which stops the background goroutines
+	// (the idle reaper, the boot handoff) bg counts and waits for, and
+	// aborts their handoff pushes in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
+	bg     sync.WaitGroup
+	closed atomic.Bool
 }
 
 // New builds a server and starts its idle-session reaper (unless
@@ -270,13 +276,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		reg:        newRegistry(cfg.MaxSessions, cfg.PreparedCacheSize, cfg.CertCacheSize, cfg.EngineCacheSize, cfg.Clock),
-		mux:        http.NewServeMux(),
-		start:      cfg.Clock(),
-		sem:        make(chan struct{}, cfg.WorkerBudget),
-		reaperDone: make(chan struct{}),
+		cfg:   cfg,
+		reg:   newRegistry(cfg.MaxSessions, cfg.PreparedCacheSize, cfg.CertCacheSize, cfg.EngineCacheSize, cfg.Clock),
+		mux:   http.NewServeMux(),
+		start: cfg.Clock(),
+		sem:   make(chan struct{}, cfg.WorkerBudget),
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.reg.disableDelta = cfg.DisableDelta
 	if cfg.Self != "" && len(cfg.Peers) > 0 {
 		nodes := append([]string(nil), cfg.Peers...)
@@ -294,26 +300,29 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Persist != nil {
 		s.store = cfg.Persist
-		s.restoreAll()
+		restored := s.restoreAll()
 		s.wb = persist.NewWriteBehind(cfg.Persist, persistInterval(cfg.PersistInterval))
+		if s.cluster != nil && restored > 0 {
+			s.bg.Add(1)
+			go s.handOffRestored()
+		}
 	}
 	s.routes()
 	if cfg.ReapInterval > 0 {
+		s.bg.Add(1)
 		go s.reap()
-	} else {
-		close(s.reaperDone)
 	}
 	return s
 }
 
-// Close stops the background reaper and the write-behind flusher
-// (running one final flush). In-flight requests are unaffected; use
+// Close stops the background goroutines (the idle reaper, a boot
+// handoff still retrying) and the write-behind flusher (running one
+// final flush). In-flight requests are unaffected; use
 // http.Server.Shutdown to drain those.
 func (s *Server) Close() {
 	if s.closed.CompareAndSwap(false, true) {
-		if s.cfg.ReapInterval > 0 {
-			close(s.reaperDone)
-		}
+		s.cancel()
+		s.bg.Wait()
 		if s.wb != nil {
 			_ = s.wb.Close()
 		}
@@ -334,13 +343,14 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) EvictIdle() []string { return s.reg.evictIdle(s.cfg.SessionTTL) }
 
 func (s *Server) reap() {
+	defer s.bg.Done()
 	t := time.NewTicker(s.cfg.ReapInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
 			s.reg.evictIdle(s.cfg.SessionTTL)
-		case <-s.reaperDone:
+		case <-s.ctx.Done():
 			return
 		}
 	}
@@ -497,12 +507,33 @@ func toValues(ss []string) []rel.Value {
 	return out
 }
 
-func explanationDTOs(db *rel.Database, exps []core.Explanation) []ExplanationDTO {
-	out := make([]ExplanationDTO, len(exps))
+// RenderRanking renders a ranking in the wire shape: one DTO per
+// explanation, plus the tuple table of every tuple their contingencies
+// name, each rendered once. The in-process watch renders through it
+// too, so both transports publish identical frames.
+func RenderRanking(db *rel.Database, exps []core.Explanation) ([]ExplanationDTO, map[int]string) {
+	dtos := make([]ExplanationDTO, len(exps))
+	var tuples map[int]string
 	for i, e := range exps {
-		out[i] = NewExplanationDTO(db, e)
+		dtos[i] = NewExplanationDTO(db, e)
+		tuples = renderTuples(tuples, db, e.Contingency)
 	}
-	return out
+	return dtos, tuples
+}
+
+// renderTuples adds the rendered form of every id not yet in tuples,
+// allocating the table on first use.
+func renderTuples(tuples map[int]string, db *rel.Database, ids []rel.TupleID) map[int]string {
+	for _, id := range ids {
+		if _, ok := tuples[int(id)]; ok {
+			continue
+		}
+		if tuples == nil {
+			tuples = make(map[int]string)
+		}
+		tuples[int(id)] = db.Tuple(id).String()
+	}
+	return tuples
 }
 
 // NewExplanationDTO renders one explanation in the wire shape. The
@@ -517,7 +548,6 @@ func NewExplanationDTO(db *rel.Database, e core.Explanation) ExplanationDTO {
 		Method:          e.Method.String(),
 	}
 	for _, id := range e.Contingency {
-		d.Contingency = append(d.Contingency, db.Tuple(id).String())
 		d.ContingencyIDs = append(d.ContingencyIDs, int(id))
 	}
 	return d
@@ -870,6 +900,7 @@ func (s *Server) explainHandler(whyNo bool) http.HandlerFunc {
 			}
 			return
 		}
+		dtos, tuples := RenderRanking(sess.db, exps)
 		writeJSON(w, http.StatusOK, ExplainResponse{
 			Database:          sess.id,
 			QueryID:           qID,
@@ -879,7 +910,8 @@ func (s *Server) explainHandler(whyNo bool) http.HandlerFunc {
 			EngineCached:      engineHit,
 			CertificateCached: certHit,
 			Causes:            len(eng.Causes()),
-			Explanations:      explanationDTOs(sess.db, exps),
+			Explanations:      dtos,
+			Tuples:            tuples,
 			ElapsedMicros:     time.Since(started).Microseconds(),
 		})
 	}
@@ -950,7 +982,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Code = qerr.CodeOf(res.Err)
 		} else {
 			out.Causes = len(res.Explanations)
-			out.Explanations = explanationDTOs(sess.db, res.Explanations)
+			out.Explanations, out.Tuples = RenderRanking(sess.db, res.Explanations)
 		}
 		resp.Results[i] = out
 	}
@@ -1054,6 +1086,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	n := 0
+	var tuples map[int]string
 	for ex, serr := range eng.RankStream(ctx, mode, core.StreamOptions{Workers: s.clampWorkers(req.Parallelism), CompletionOrder: req.CompletionOrder}) {
 		if serr != nil {
 			// Status is already written; the taxonomy travels in-band.
@@ -1065,9 +1098,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		n++
 		dto := NewExplanationDTO(sess.db, ex)
+		tuples = renderTuples(tuples, sess.db, ex.Contingency)
 		if !emit(StreamEvent{Explanation: &dto}) {
 			return
 		}
 	}
-	emit(StreamEvent{Done: &StreamDone{Causes: n, ElapsedMicros: time.Since(started).Microseconds()}})
+	emit(StreamEvent{Done: &StreamDone{Causes: n, Tuples: tuples, ElapsedMicros: time.Since(started).Microseconds()}})
 }

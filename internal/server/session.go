@@ -12,6 +12,7 @@ package server
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,7 +57,11 @@ type preparedQuery struct {
 // so any number of explains evaluate concurrently and mutations
 // serialize against them.
 type session struct {
-	id       string
+	id string
+	// identity tells this session from another minted under the same id
+	// by a different node (persist.Snapshot.Identity); 0 when restored
+	// from a snapshot that predates it.
+	identity uint64
 	db       *rel.Database
 	endo     int // endogenous tuple count; guarded by dbMu
 	created  time.Time
@@ -371,16 +376,17 @@ func (r *registry) add(db *rel.Database) *session {
 		}
 	}
 	s := &session{
-		id:      id,
-		db:      db,
-		endo:    endo,
-		created: now,
-		watch:   NewWatchSet(),
-		noDelta: r.disableDelta,
-		byID:    make(map[string]*preparedQuery),
-		idem:    make(map[string][]byte),
-		certs:   cache.New[string, *certEntry](r.certCap, nil),
-		engines: cache.New[string, *core.Engine](r.engineCap, nil),
+		id:       id,
+		identity: rand.Uint64(),
+		db:       db,
+		endo:     endo,
+		created:  now,
+		watch:    NewWatchSet(),
+		noDelta:  r.disableDelta,
+		byID:     make(map[string]*preparedQuery),
+		idem:     make(map[string][]byte),
+		certs:    cache.New[string, *certEntry](r.certCap, nil),
+		engines:  cache.New[string, *core.Engine](r.engineCap, nil),
 	}
 	s.prepared = cache.New[string, *preparedQuery](r.preparedCap, func(_ string, pq *preparedQuery) {
 		s.mu.Lock()

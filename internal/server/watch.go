@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -63,18 +64,20 @@ type watchTopic struct {
 	// mentions reports whether the watched query reads relName — the
 	// conservative affected-check deciding whether a mutation re-ranks.
 	mentions func(relName string) bool
-	// rank recomputes the full current ranking; it runs under the
-	// mutating request's write lock (or the subscriber's read lock, for
-	// the initial snapshot), so it must not take the database lock.
-	rank func() ([]ExplanationDTO, error)
+	// rank recomputes the full current ranking and its tuple table; it
+	// runs under the mutating request's write lock (or the subscriber's
+	// read lock, for the initial snapshot), so it must not take the
+	// database lock.
+	rank func() ([]ExplanationDTO, map[int]string, error)
 	refs int
 	// version is the database version the topic last published at; last
-	// is the ranking at that version (always current, so resyncs and
-	// second subscribers never recompute). lastErr, when non-nil, is the
-	// error state the topic is in; the next successful re-rank recovers
-	// with a full_resync frame.
+	// is the ranking at that version and tuples its tuple table (always
+	// current, so resyncs and second subscribers never recompute or
+	// render). lastErr, when non-nil, is the error state the topic is in;
+	// the next successful re-rank recovers with a full_resync frame.
 	version uint64
 	last    []ExplanationDTO
+	tuples  map[int]string
 	lastErr *ErrorResponse
 	// recent is the bounded ring of frames published since floor, oldest
 	// first; a subscriber resuming from a version >= floor replays the
@@ -142,16 +145,16 @@ func (ws *WatchSet) Active() int64 { return ws.hub.Active() }
 // none), or a single full_resync when the resume point is gone. An
 // error means the fresh topic's initial ranking failed; nothing was
 // registered.
-func (ws *WatchSet) Subscribe(key string, buffer int, version uint64, resumeFrom uint64, mentions func(string) bool, rank func() ([]ExplanationDTO, error)) (*watch.Sub[WatchEvent], []WatchEvent, error) {
+func (ws *WatchSet) Subscribe(key string, buffer int, version uint64, resumeFrom uint64, mentions func(string) bool, rank func() ([]ExplanationDTO, map[int]string, error)) (*watch.Sub[WatchEvent], []WatchEvent, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	t, ok := ws.topics[key]
 	if !ok {
-		ranking, err := rank()
+		ranking, tuples, err := rank()
 		if err != nil {
 			return nil, nil, err
 		}
-		t = &watchTopic{mentions: mentions, rank: rank, version: version, floor: version, last: ranking}
+		t = &watchTopic{mentions: mentions, rank: rank, version: version, floor: version, last: ranking, tuples: tuples}
 		ws.topics[key] = t
 	}
 	t.refs++
@@ -203,7 +206,7 @@ func (t *watchTopic) snapshot(typ string) WatchEvent {
 	if t.lastErr != nil {
 		return WatchEvent{Type: "error", Version: t.version, Error: t.lastErr}
 	}
-	return WatchEvent{Type: typ, Version: t.version, Ranking: t.last}
+	return WatchEvent{Type: typ, Version: t.version, Ranking: t.last, Tuples: t.tuples}
 }
 
 // Resync returns a full-state frame for key, for consumers that lagged
@@ -252,7 +255,7 @@ func (ws *WatchSet) Fanout(version uint64, rels map[string]bool) int {
 			t.version = version
 			ev = WatchEvent{Type: "diff", Version: version}
 		default:
-			ranking, err := t.rank()
+			ranking, tuples, err := t.rank()
 			switch {
 			case err != nil:
 				t.version = version
@@ -262,12 +265,13 @@ func (ws *WatchSet) Fanout(version uint64, rels map[string]bool) int {
 				// Recovery from error state: the last good ranking is too old
 				// to diff against, so re-seed subscribers wholesale.
 				t.lastErr = nil
-				t.last, t.version = ranking, version
-				ev = WatchEvent{Type: "full_resync", Version: version, Ranking: ranking}
+				t.last, t.tuples, t.version = ranking, tuples, version
+				ev = WatchEvent{Type: "full_resync", Version: version, Ranking: ranking, Tuples: tuples}
 			default:
 				added, removed, changed := DiffRankings(t.last, ranking)
-				t.last, t.version = ranking, version
-				ev = WatchEvent{Type: "diff", Version: version, CausesAdded: added, CausesRemoved: removed, RankChanged: changed}
+				t.last, t.tuples, t.version = ranking, tuples, version
+				ev = WatchEvent{Type: "diff", Version: version, CausesAdded: added, CausesRemoved: removed, RankChanged: changed,
+					Tuples: diffTuples(tuples, added, changed)}
 			}
 		}
 		t.remember(ev)
@@ -350,23 +354,31 @@ func ApplyWatchEvent(state []ExplanationDTO, ev WatchEvent) []ExplanationDTO {
 	return state
 }
 
+// diffTuples restricts a ranking's tuple table to the tuples a diff
+// frame's explanations name.
+func diffTuples(all map[int]string, added []ExplanationDTO, changed []RankChangeDTO) map[int]string {
+	var out map[int]string
+	pick := func(d ExplanationDTO) {
+		for _, id := range d.ContingencyIDs {
+			if out == nil {
+				out = make(map[int]string)
+			}
+			out[id] = all[id]
+		}
+	}
+	for _, d := range added {
+		pick(d)
+	}
+	for _, c := range changed {
+		pick(c.New)
+	}
+	return out
+}
+
 func equalExplanationDTO(a, b ExplanationDTO) bool {
-	if a.TupleID != b.TupleID || a.Tuple != b.Tuple || a.Rho != b.Rho ||
-		a.ContingencySize != b.ContingencySize || a.Method != b.Method ||
-		len(a.Contingency) != len(b.Contingency) || len(a.ContingencyIDs) != len(b.ContingencyIDs) {
-		return false
-	}
-	for i := range a.Contingency {
-		if a.Contingency[i] != b.Contingency[i] {
-			return false
-		}
-	}
-	for i := range a.ContingencyIDs {
-		if a.ContingencyIDs[i] != b.ContingencyIDs[i] {
-			return false
-		}
-	}
-	return true
+	return a.TupleID == b.TupleID && a.Tuple == b.Tuple && a.Rho == b.Rho &&
+		a.ContingencySize == b.ContingencySize && a.Method == b.Method &&
+		slices.Equal(a.ContingencyIDs, b.ContingencyIDs)
 }
 
 // queryMentions reports whether q has an atom over relName — the
@@ -433,19 +445,21 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	answer := toValues(req.Answer)
 	key := engineKey(queryKey(q, qID), answer, req.WhyNo) + "|" + mode.String()
-	rank := func() ([]ExplanationDTO, error) {
+	rank := func() ([]ExplanationDTO, map[int]string, error) {
 		// Runs under dbMu (read side for the snapshot, the mutating
 		// request's write side for fanouts), so it takes no database lock
-		// and detaches from the subscriber's request context.
+		// and detaches from the subscriber's request context. An engine
+		// that survived the mutation answers from its ranking memo.
 		eng, _, _, err := sess.engineFor(q, qID, answer, req.WhyNo)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		exps, err := eng.Rank(context.Background(), mode, s.clampWorkers(0))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return explanationDTOs(sess.db, exps), nil
+		dtos, tuples := RenderRanking(sess.db, exps)
+		return dtos, tuples, nil
 	}
 
 	// The initial ranking of a fresh topic is explain-sized work; run it

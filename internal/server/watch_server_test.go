@@ -610,8 +610,8 @@ func TestWatchReplayRingBounded(t *testing.T) {
 	// The ranking at version v is one cause with ρ = 1/v, so every
 	// mutation's frame is a real diff.
 	version := uint64(1)
-	rank := func() ([]ExplanationDTO, error) {
-		return []ExplanationDTO{{TupleID: 1, Rho: 1 / float64(version)}}, nil
+	rank := func() ([]ExplanationDTO, map[int]string, error) {
+		return []ExplanationDTO{{TupleID: 1, Rho: 1 / float64(version)}}, nil, nil
 	}
 	mentions := func(string) bool { return true }
 	sub, initial, err := ws.Subscribe("k", 1, version, 0, mentions, rank)
@@ -651,7 +651,7 @@ func TestWatchReplayRingBounded(t *testing.T) {
 		}
 		state = ApplyWatchEvent(state, ev)
 	}
-	want, _ := rank()
+	want, _, _ := rank()
 	if rankingJSON(t, state) != rankingJSON(t, want) {
 		t.Fatalf("replay from floor = %s; want %s", rankingJSON(t, state), rankingJSON(t, want))
 	}

@@ -327,23 +327,20 @@ func (s *localSession) Watch(ctx context.Context, spec WatchSpec, opts ...Option
 		q := spec.Query
 		answer := append([]Value(nil), spec.Answer...)
 		key := watchKey(q, answer, spec.WhyNo, cfg.mode)
-		rank := func() ([]ExplanationDTO, error) {
+		rank := func() ([]ExplanationDTO, map[int]string, error) {
 			// Runs under dbMu — the read side for the snapshot, the
 			// mutating call's write side for fanouts — so it takes no
 			// database lock and detaches from the subscriber's context.
 			eng, err := core.NewRequestEngine(s.db, core.BatchRequest{Query: q, Answer: answer, WhyNo: spec.WhyNo})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			exps, err := eng.Rank(context.Background(), cfg.mode, cfg.parallelism)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			dtos := make([]ExplanationDTO, len(exps))
-			for i, ex := range exps {
-				dtos[i] = server.NewExplanationDTO(s.db, ex)
-			}
-			return dtos, nil
+			dtos, tuples := server.RenderRanking(s.db, exps)
+			return dtos, tuples, nil
 		}
 		s.dbMu.RLock()
 		sub, initial, err := s.watch.Subscribe(key, buffer, s.db.Version(), spec.ResumeFrom, func(relName string) bool {
