@@ -220,10 +220,13 @@
 //
 // Databases are stored columnar and dictionary-interned
 // (internal/rel): per-column uint32 code vectors over a per-database
-// value dictionary, with lazily built copy-on-write code indexes.
-// Query evaluation is a planned streaming pipeline (internal/ra) —
-// atoms ordered by selectivity, hash joins keyed on shared variables,
-// bindings flowing through reusable buffers — and every valuation
+// value dictionary, with per-column code indexes built on first probe
+// and maintained in place by every insert and delete. Query evaluation
+// is a planned streaming pipeline (internal/ra) — atoms ordered by
+// selectivity, joins that probe those persistent indexes on shared
+// variables, bindings flowing through reusable buffers — so an
+// evaluation costs what it returns rather than a hash build over every
+// relation it touches, and every valuation
 // carries the witness rows that produced it, so lineage is captured
 // during evaluation rather than recomputed in a second pass. The
 // naive row-at-a-time reference evaluator remains available

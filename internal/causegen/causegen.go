@@ -61,13 +61,14 @@ func CausePred(relName string) string { return "C_" + relName }
 // A nil entry (relation absent) means "both possible".
 type Hints map[string]struct{ HasEndo, HasExo bool }
 
-// HintsFromDB derives hints from an instance.
+// HintsFromDB derives hints from an instance, reading the endo flags
+// directly (no row adapter).
 func HintsFromDB(db *rel.Database) Hints {
 	h := make(Hints)
 	for name, r := range db.Relations {
 		e := struct{ HasEndo, HasExo bool }{}
-		for _, t := range r.Tuples() {
-			if t.Endo {
+		for _, id := range r.RowIDs() {
+			if db.Endo(id) {
 				e.HasEndo = true
 			} else {
 				e.HasExo = true

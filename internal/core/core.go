@@ -415,6 +415,18 @@ func (e *Engine) baseNetwork(mode Mode) (*respflow.Network, error) {
 	return net, nil
 }
 
+// Prepare resolves everything a ranking in mode reads from the
+// database — the mode's certificate and, on the flow path, its base
+// network — so that the solving which follows reads only the engine's
+// own state (lineage, certificates, networks). A caller whose database
+// may be mutated while it ranks calls Prepare under the lock its
+// mutations take and then ranks without holding it; Rank and RankStream
+// prepare on their own otherwise.
+func (e *Engine) Prepare(mode Mode) error {
+	_, err := e.baseNetwork(mode)
+	return err
+}
+
 // anyNonCounterfactualCause reports whether some cause would reach the
 // flow/exact dispatch (i.e. needs more than the lineage to explain).
 func (e *Engine) anyNonCounterfactualCause() bool {
@@ -433,8 +445,8 @@ func (e *Engine) Responsibility(t rel.TupleID, mode Mode) (Explanation, error) {
 	if int(t) < 0 || int(t) >= e.db.NumTuples() {
 		return Explanation{}, qerr.Tag(qerr.ErrNotCause, fmt.Errorf("core: tuple id %d out of range", t))
 	}
-	if !e.db.Tuple(t).Endo {
-		return Explanation{}, qerr.Tag(qerr.ErrNotCause, fmt.Errorf("core: tuple %v is exogenous; only endogenous tuples have responsibilities", e.db.Tuple(t)))
+	if !e.db.Endo(t) {
+		return Explanation{}, qerr.Tag(qerr.ErrNotCause, fmt.Errorf("core: tuple %s is exogenous; only endogenous tuples have responsibilities", e.db.Render(t)))
 	}
 	var net *respflow.Network
 	if e.causeSet[t] && !e.isCounterfactual(t) {

@@ -284,24 +284,28 @@ func parseTupleLine(line string) (relName string, endo bool, args []rel.Value, e
 // rather than silently emitted as unparseable text.
 func FormatDatabase(db *rel.Database) (string, error) {
 	var b strings.Builder
-	for _, t := range db.Tuples() {
-		if !db.Live(t.ID) {
+	dict := db.Dict()
+	var codes []uint32
+	for i := 0; i < db.NumTuples(); i++ {
+		id := rel.TupleID(i)
+		if !db.Live(id) {
 			continue
 		}
-		if t.Endo {
+		if db.Endo(id) {
 			b.WriteByte('+')
 		} else {
 			b.WriteByte('-')
 		}
-		b.WriteString(t.Rel)
+		b.WriteString(db.RelName(id))
 		b.WriteByte('(')
-		for i, v := range t.Args {
-			if i > 0 {
+		codes = db.AppendCodes(codes[:0], id)
+		for k, c := range codes {
+			if k > 0 {
 				b.WriteString(", ")
 			}
-			qv, err := quoteValue(string(v))
+			qv, err := quoteValue(string(dict.Value(c)))
 			if err != nil {
-				return "", fmt.Errorf("parser: tuple %v: %w", t, err)
+				return "", fmt.Errorf("parser: tuple %s: %w", db.Render(id), err)
 			}
 			b.WriteString(qv)
 		}

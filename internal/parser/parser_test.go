@@ -240,3 +240,44 @@ func TestFormatDatabaseUnrepresentable(t *testing.T) {
 		})
 	}
 }
+
+// TestFormatDatabaseWithDeletions: deleted tuples are omitted, live
+// ones keep insertion order and their endo flags, and re-parsing yields
+// the live tuples under compacted IDs, which format back to the same
+// text.
+func TestFormatDatabaseWithDeletions(t *testing.T) {
+	db := rel.NewDatabase()
+	db.MustAdd("R", true, "a1", "a2")
+	gone := db.MustAdd("S", false, "only here")
+	db.MustAdd("R", false, "with space", "comma,inside")
+	db.MustAdd("T", true, "x")
+	if err := db.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	db.MustAdd("S", true, "b")
+	text, err := FormatDatabase(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "-R('with space', 'comma,inside')\n+T(x)\n+S(b)\n"
+	if text != want {
+		t.Fatalf("FormatDatabase = %q, want %q", text, want)
+	}
+	back, err := ParseDatabase(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NumTuples() != db.NumLive() {
+		t.Fatalf("re-parsed %d tuples, want the %d live ones", back.NumTuples(), db.NumLive())
+	}
+	again, err := FormatDatabase(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != text {
+		t.Fatalf("round trip changed the text:\n%q\n%q", text, again)
+	}
+}

@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -80,5 +82,67 @@ func TestDecodeAcceptsV1(t *testing.T) {
 		if tp.Deleted {
 			t.Fatal("v1 snapshot decoded with Deleted set")
 		}
+	}
+}
+
+// TestSnapshotOfMutatedDatabase pins SetDatabase, which reads the code
+// vectors, to the row-adapter reading of the same database: relation
+// table in first-appearance order, and per tuple its relation, endo
+// flag, deleted flag and argument codes, husks included. Snapshotting
+// the restored database then encodes byte-identically.
+func TestSnapshotOfMutatedDatabase(t *testing.T) {
+	db := testDB(t)
+	husk := db.MustAdd("U", true, "zz", "yy")
+	db.MustAdd("S", false, "zz")
+	if err := db.Delete(husk); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	db.SetEndo(0, false)
+
+	snap := &Snapshot{ID: "d1"}
+	snap.SetDatabase(db)
+
+	var rels []string
+	relIdx := make(map[string]int32)
+	var tuples []Tuple
+	for _, tp := range db.Tuples() {
+		ri, ok := relIdx[tp.Rel]
+		if !ok {
+			ri = int32(len(rels))
+			relIdx[tp.Rel] = ri
+			rels = append(rels, tp.Rel)
+		}
+		args := make([]uint32, len(tp.Args))
+		for i, v := range tp.Args {
+			args[i], _ = db.Dict().Code(v)
+		}
+		tuples = append(tuples, Tuple{Rel: ri, Endo: tp.Endo, Deleted: !db.Live(tp.ID), Args: args})
+	}
+	if !reflect.DeepEqual(snap.Relations, rels) {
+		t.Fatalf("relations: snapshot %v, adapter %v", snap.Relations, rels)
+	}
+	if !reflect.DeepEqual(snap.Tuples, tuples) {
+		t.Fatalf("tuples:\n  snapshot %+v\n  adapter  %+v", snap.Tuples, tuples)
+	}
+
+	data, err := Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := snap.Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := &Snapshot{ID: "d1"}
+	again.SetDatabase(back)
+	data2, err := Encode(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, data2) {
+		t.Fatal("snapshot of the restored database encodes differently")
 	}
 }

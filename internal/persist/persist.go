@@ -178,18 +178,16 @@ func (snap *Snapshot) SetDatabase(db *rel.Database) {
 	relIdx := make(map[string]int32)
 	snap.Relations = snap.Relations[:0]
 	snap.Tuples = make([]Tuple, 0, db.NumTuples())
-	for _, t := range db.Tuples() {
-		ri, ok := relIdx[t.Rel]
+	for i := 0; i < db.NumTuples(); i++ {
+		id := rel.TupleID(i)
+		name := db.RelName(id)
+		ri, ok := relIdx[name]
 		if !ok {
 			ri = int32(len(snap.Relations))
-			relIdx[t.Rel] = ri
-			snap.Relations = append(snap.Relations, t.Rel)
+			relIdx[name] = ri
+			snap.Relations = append(snap.Relations, name)
 		}
-		args := make([]uint32, len(t.Args))
-		for i, v := range t.Args {
-			args[i], _ = dict.Code(v) // every stored value is interned
-		}
-		snap.Tuples = append(snap.Tuples, Tuple{Rel: ri, Endo: t.Endo, Deleted: !db.Live(t.ID), Args: args})
+		snap.Tuples = append(snap.Tuples, Tuple{Rel: ri, Endo: db.Endo(id), Deleted: !db.Live(id), Args: db.AppendCodes(nil, id)})
 	}
 }
 

@@ -5,22 +5,24 @@ import (
 )
 
 // runner is the per-evaluation state of a compiled plan: step inputs
-// are prepared lazily (a hash table or filtered row list is only built
-// the first time the pipeline reaches that step, so an early empty scan
-// costs nothing downstream), and the slot and witness buffers are
-// reused across the whole enumeration.
+// are prepared lazily (a scan's filtered row list, or a join step's
+// column indexes, are only looked up the first time the pipeline
+// reaches that step, so an early empty scan costs nothing downstream),
+// and the slot and witness buffers are reused across the whole
+// enumeration. A join step builds nothing over its relation: it probes
+// the relation's persistent code indexes (see Relation.CodeIndex).
 type runner struct {
 	p        *plan
 	removed  map[rel.TupleID]bool
 	pinAtom  int         // atom index restricted to the single row of pinID; -1 = no pin
 	pinID    rel.TupleID // only meaningful when pinAtom >= 0
 	prepared []bool
-	all      []bool               // scan step streams every row unfiltered
-	lists    [][]int32            // scan steps: filtered row list
-	tables   []map[string][]int32 // join steps: packed join codes → rows
+	all      []bool    // scan step streams every row unfiltered
+	lists    [][]int32 // scan steps: filtered row list; join steps: the seed, if seeded
+	seeded   []bool    // join step probes from lists[i] unless a join bucket is smaller
+	probes   [][]map[uint32][]int32
 	slots    []uint32
 	witness  []rel.TupleID
-	keyBuf   []byte
 	yield    func(slots []uint32, witness []rel.TupleID) bool
 }
 
@@ -47,7 +49,8 @@ func (p *plan) runPinned(removed map[rel.TupleID]bool, pinAtom int, pinID rel.Tu
 		prepared: make([]bool, len(p.steps)),
 		all:      make([]bool, len(p.steps)),
 		lists:    make([][]int32, len(p.steps)),
-		tables:   make([]map[string][]int32, len(p.steps)),
+		seeded:   make([]bool, len(p.steps)),
+		probes:   make([][]map[uint32][]int32, len(p.steps)),
 		slots:    make([]uint32, len(p.varNames)),
 		witness:  make([]rel.TupleID, p.numAtoms),
 		yield:    yield,
@@ -64,11 +67,7 @@ func (r *runner) dfs(i int) bool {
 		r.prepare(i, st)
 	}
 	if len(st.join) > 0 {
-		r.keyBuf = r.keyBuf[:0]
-		for _, cs := range st.join {
-			r.keyBuf = appendCode(r.keyBuf, r.slots[cs.slot])
-		}
-		return r.emit(st, r.tables[i][string(r.keyBuf)], i)
+		return r.probe(i, st)
 	}
 	if r.all[i] {
 		n := st.rl.Len()
@@ -79,12 +78,41 @@ func (r *runner) dfs(i int) bool {
 		}
 		return true
 	}
-	return r.emit(st, r.lists[i], i)
+	for _, row := range r.lists[i] {
+		if !r.emitRow(st, row, i) {
+			return false
+		}
+	}
+	return true
 }
 
-func (r *runner) emit(st *step, rows []int32, i int) bool {
+// probe streams a join step: it takes the smallest of the step's
+// candidate buckets — the code-index bucket of each join column under
+// the current slots, and the seed of a pinned or constant-bearing step
+// — and emits the rows of it that match every join column and pass the
+// step's filters. Buckets are ascending, so the emitted rows are
+// exactly those of a hash-join bucket built over the filtered relation,
+// in the same order.
+func (r *runner) probe(i int, st *step) bool {
+	rows, ok := r.lists[i], r.seeded[i]
+	for k, cs := range st.join {
+		if b := r.probes[i][k][r.slots[cs.slot]]; !ok || len(b) < len(rows) {
+			rows, ok = b, true
+		}
+	}
 	for _, row := range rows {
-		if !r.emitRow(st, row, i) {
+		if r.joins(st, row) && r.pass(st, row) && !r.emitRow(st, row, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// joins reports whether row carries the bound slot code in every join
+// column of the step.
+func (r *runner) joins(st *step, row int32) bool {
+	for _, cs := range st.join {
+		if st.rl.Col(cs.col)[row] != r.slots[cs.slot] {
 			return false
 		}
 	}
@@ -99,89 +127,90 @@ func (r *runner) emitRow(st *step, row int32, i int) bool {
 	return r.dfs(i + 1)
 }
 
-// prepare builds the step's input on first contact: a hash table over
-// the packed join-column codes for probe steps, a filtered row list for
-// scans — or nothing at all for a full unfiltered scan.
+// prepare resolves the step's input on first contact: for a join step,
+// the code index of each join column plus, on a pinned atom, the pinned
+// row and, on an atom with constants, the smallest constant bucket; for
+// a scan, a filtered row list — or nothing at all for a full unfiltered
+// scan.
 func (r *runner) prepare(i int, st *step) {
 	r.prepared[i] = true
-	if len(st.join) == 0 {
-		if len(st.consts) == 0 && len(st.eq) == 0 && r.removed == nil && st.atom != r.pinAtom {
-			r.all[i] = true
-			return
+	if len(st.join) > 0 {
+		r.probes[i] = make([]map[uint32][]int32, len(st.join))
+		for k, cs := range st.join {
+			r.probes[i][k] = st.rl.CodeIndex(cs.col)
 		}
-		var list []int32
-		r.candidateRows(st, func(row int32) { list = append(list, row) })
-		r.lists[i] = list
+		if st.atom == r.pinAtom {
+			r.lists[i], r.seeded[i] = r.pinnedRow(st), true
+		} else if len(st.consts) > 0 {
+			r.lists[i], r.seeded[i] = r.constBucket(st), true
+		}
 		return
 	}
-	tbl := make(map[string][]int32)
-	var buf []byte
-	r.candidateRows(st, func(row int32) {
-		buf = buf[:0]
-		for _, cs := range st.join {
-			buf = appendCode(buf, st.rl.Col(cs.col)[row])
+	if len(st.consts) == 0 && len(st.eq) == 0 && r.removed == nil && st.atom != r.pinAtom {
+		r.all[i] = true
+		return
+	}
+	var list []int32
+	switch {
+	case st.atom == r.pinAtom:
+		list = r.pinnedRow(st)
+	case len(st.consts) > 0:
+		for _, row := range r.constBucket(st) {
+			if r.pass(st, row) {
+				list = append(list, row)
+			}
 		}
-		tbl[string(buf)] = append(tbl[string(buf)], row)
-	})
-	r.tables[i] = tbl
+	default:
+		for row := int32(0); int(row) < st.rl.Len(); row++ {
+			if r.pass(st, row) {
+				list = append(list, row)
+			}
+		}
+	}
+	r.lists[i] = list
 }
 
-// candidateRows visits the rows passing the step's constant, intra-atom
-// equality, and removal filters, in ascending row order. When constant
-// columns exist, the smallest matching bucket of the lazy code indexes
-// seeds the iteration instead of a full scan.
-func (r *runner) candidateRows(st *step, visit func(row int32)) {
+// pass reports whether row passes the step's constant, intra-atom
+// equality, and removal filters.
+func (r *runner) pass(st *step, row int32) bool {
 	rl := st.rl
-	pass := func(row int32) bool {
-		for _, cc := range st.consts {
-			if rl.Col(cc.col)[row] != cc.code {
-				return false
-			}
-		}
-		for _, e := range st.eq {
-			if rl.Col(e[0])[row] != rl.Col(e[1])[row] {
-				return false
-			}
-		}
-		return r.removed == nil || !r.removed[rl.RowID(int(row))]
-	}
-	if st.atom == r.pinAtom {
-		// The pinned atom admits at most one row: the one holding
-		// pinID. Scan backwards — a freshly inserted tuple sits at the
-		// end of its relation.
-		for row := int32(rl.Len()) - 1; row >= 0; row-- {
-			if rl.RowID(int(row)) == r.pinID {
-				if pass(row) {
-					visit(row)
-				}
-				return
-			}
-		}
-		return
-	}
-	if len(st.consts) > 0 {
-		seed := rl.CodeIndex(st.consts[0].col)[st.consts[0].code]
-		for _, cc := range st.consts[1:] {
-			if rows := rl.CodeIndex(cc.col)[cc.code]; len(rows) < len(seed) {
-				seed = rows
-			}
-		}
-		for _, row := range seed {
-			if pass(row) {
-				visit(row)
-			}
-		}
-		return
-	}
-	for row := int32(0); int(row) < rl.Len(); row++ {
-		if pass(row) {
-			visit(row)
+	for _, cc := range st.consts {
+		if rl.Col(cc.col)[row] != cc.code {
+			return false
 		}
 	}
+	for _, e := range st.eq {
+		if rl.Col(e[0])[row] != rl.Col(e[1])[row] {
+			return false
+		}
+	}
+	return r.removed == nil || !r.removed[rl.RowID(int(row))]
 }
 
-// appendCode packs an interned code into 4 little-endian bytes of a
-// hash key.
-func appendCode(dst []byte, c uint32) []byte {
-	return append(dst, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
+// pinnedRow returns the row holding pinID when it passes the step's
+// filters, as a one-row list (empty otherwise). The scan runs
+// backwards: a freshly inserted tuple sits at the end of its relation.
+func (r *runner) pinnedRow(st *step) []int32 {
+	for row := int32(st.rl.Len()) - 1; row >= 0; row-- {
+		if st.rl.RowID(int(row)) == r.pinID {
+			if r.pass(st, row) {
+				return []int32{row}
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+// constBucket returns the smallest code-index bucket among the step's
+// constant columns: a superset of the rows passing its constants, in
+// ascending order.
+func (r *runner) constBucket(st *step) []int32 {
+	seed := st.rl.CodeIndex(st.consts[0].col)[st.consts[0].code]
+	for _, cc := range st.consts[1:] {
+		if rows := st.rl.CodeIndex(cc.col)[cc.code]; len(rows) < len(seed) {
+			seed = rows
+		}
+	}
+	return seed
 }

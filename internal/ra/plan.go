@@ -24,8 +24,8 @@ type colSlot struct {
 // step is one atom of the left-deep pipeline, classified at compile
 // time. Columns split four ways: consts are equality selections against
 // interned codes, eq pairs are intra-atom variable repeats, join columns
-// key the hash probe against slots bound by earlier steps, and bind
-// columns introduce new slots. A step with no join columns is a scan
+// are probed through their code indexes against slots bound by earlier
+// steps, and bind columns introduce new slots. A step with no join columns is a scan
 // (the pipeline head, a constant-only atom, or a cartesian arm).
 type step struct {
 	atom   int // index into q.Atoms — witness position

@@ -1,17 +1,24 @@
 // Package ra is the planned streaming evaluator of the relational data
 // plane: composable relational-algebra iterators — scan, selection,
-// projection-to-slots, and hash join keyed on shared variables — running
-// directly over internal/rel's dictionary-interned columnar relations.
+// projection-to-slots, and index-probe join on shared variables —
+// running directly over internal/rel's dictionary-interned columnar
+// relations.
 //
 // A conjunctive query is compiled once into a left-deep pipeline whose
 // atom order a small planner picks by estimated selectivity: atoms
 // joined to an already-bound variable before unconnected (cartesian)
 // arms, then by constants bound, shared-variable count, and relation
-// cardinality (see plan.go). Evaluation then streams variable bindings through the
-// pipeline as dense uint32 code slots: the first step scans its
-// relation (constant columns pre-filtered through the lazy code
-// indexes), and every later step probes a hash table built over its
-// relation keyed by the columns holding already-bound variables.
+// cardinality (see plan.go). Evaluation then streams variable bindings
+// through the pipeline as dense uint32 code slots: the first step scans
+// its relation (constant columns pre-filtered through the code
+// indexes), and every later step probes the persistent code index
+// (rel.Relation.CodeIndex) of each column holding an already-bound
+// variable, takes the smallest bucket, and filters it on the remaining
+// join columns, constants, repeated variables and removals. The indexes
+// live on the relations and are maintained in place by every mutation,
+// so an evaluation builds nothing over a whole relation and costs what
+// it returns. Buckets are in ascending row order, so the valuation
+// order is the one a hash join over the filtered relation would give.
 // Comparisons are uint32 code comparisons; no Value string is touched
 // until a result is materialized.
 //
@@ -66,14 +73,14 @@ func Valuations(db *rel.Database, q *rel.Query) ([]rel.Valuation, error) {
 }
 
 // Holds reports whether the Boolean query holds, stopping at the first
-// streamed valuation (hash tables for later pipeline steps are never
-// even built when an early step has no matches).
+// streamed valuation (later pipeline steps are never even prepared
+// when an early step has no matches).
 func Holds(db *rel.Database, q *rel.Query) (bool, error) {
 	return HoldsWithout(db, q, nil)
 }
 
 // HoldsWithout reports whether q holds with the given tuples removed.
-// The removal filter is pushed into the scans and hash-table builds, so
+// The removal filter is pushed into the scans and join probes, so
 // pruned rows never enter the pipeline, and evaluation stops at the
 // first surviving valuation.
 func HoldsWithout(db *rel.Database, q *rel.Query, removed map[rel.TupleID]bool) (bool, error) {

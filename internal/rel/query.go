@@ -206,8 +206,9 @@ type Answer struct {
 // Evaluator is a pluggable evaluation backend for the package-level
 // entry points. internal/ra registers its planned streaming evaluator
 // here from an init function, so any binary linking that package gets
-// selectivity-ordered hash-join evaluation for Valuations, Holds and
-// HoldsWithout; binaries that never import it keep the naive reference
+// selectivity-ordered index-probe join evaluation (over the persistent
+// column code indexes, see Relation.CodeIndex) for Valuations, Holds
+// and HoldsWithout; binaries that never import it keep the naive reference
 // evaluator. The naive path stays reachable forever through EvalNaive,
 // HoldsNaive and HoldsWithoutNaive — internal/difftest differential-
 // tests the two backends against each other on every sweep.
@@ -229,7 +230,7 @@ func RegisterEvaluator(e *Evaluator) { evaluator.Store(e) }
 // is ignored); use Answers to group them by head value.
 //
 // With the planned backend registered (see Evaluator) this streams a
-// selectivity-ordered hash-join pipeline; otherwise it falls back to
+// selectivity-ordered pipeline of index-probe joins; otherwise it falls back to
 // EvalNaive. Valuation order is deterministic per backend but differs
 // between backends; callers needing a canonical order sort.
 func Valuations(db *Database, q *Query) ([]Valuation, error) {
@@ -240,8 +241,8 @@ func Valuations(db *Database, q *Query) ([]Valuation, error) {
 }
 
 // EvalNaive enumerates all valuations with the naive reference
-// evaluator: a greedy bound-variable join order with hash indexes on
-// bound columns, one backtracking search over the tuple adapters. It is
+// evaluator: a greedy bound-variable join order probing the code index
+// of one bound column, one backtracking search over the tuple adapters. It is
 // the permanently available baseline the planned evaluator is
 // differential-tested against.
 func EvalNaive(db *Database, q *Query) ([]Valuation, error) {

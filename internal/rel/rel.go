@@ -16,11 +16,20 @@
 // dictionary: every constant is interned once into a dense uint32 code
 // (Dict), and a Relation holds one code vector per column plus the
 // row → TupleID map. Tuple identity is the dense insertion-order ID, so
-// lineage and the exact solvers keep working in the same ID space. The
-// classic row view ([]*Tuple) is materialized lazily by Tuples and
+// lineage and the exact solvers keep working in the same ID space.
+//
+// A column may also carry a code index (Relation.CodeIndex: code → its
+// rows, ascending), built the first time an evaluation probes the
+// column and from then on maintained in place by Add and Delete, so the
+// streaming evaluator in internal/ra joins by probing it instead of
+// hashing whole relations per evaluation.
+//
+// The classic row view ([]*Tuple) is materialized lazily by Tuples and
 // Database.Tuple — a thin adapter over the columnar plane, paid for only
-// by callers that need it (formatting, the naive evaluator); the
-// streaming evaluator in internal/ra runs on the code vectors directly.
+// by callers that need it (the naive evaluator, the differential
+// harness, command-line display). Everything on the explanation
+// server's path reads the code vectors instead: Render, RelName,
+// AppendCodes, Endo and NumEndo answer per tuple without building it.
 //
 // # Evaluation backends
 //
@@ -134,12 +143,13 @@ type Relation struct {
 	cols   [][]uint32 // Arity code vectors, one per column
 	rowIDs []TupleID  // row → global tuple ID
 
-	// index holds a map[int]map[uint32][]int32 listing, per column, the
-	// rows whose col-th code equals a code. Built lazily by ensureIndex
-	// with copy-on-write under indexMu and published atomically, so any
-	// number of goroutines may evaluate queries over a frozen relation
-	// concurrently without locking on the read path.
-	index   atomic.Pointer[map[int]map[uint32][]int32]
+	// index holds, per column, the code index listing the rows whose
+	// col-th code equals a code (nil until that column is first probed).
+	// A column's index is built lazily by ensureIndex with copy-on-write
+	// under indexMu and published atomically, so any number of
+	// goroutines may evaluate queries concurrently without locking on
+	// the read path; once built, Add and Delete maintain it in place.
+	index   atomic.Pointer[[]map[uint32][]int32]
 	indexMu sync.Mutex
 
 	// rows caches the lazily materialized adapter view (see Tuples).
@@ -189,43 +199,93 @@ func (r *Relation) Tuples() []*Tuple {
 	return rows
 }
 
-// CodeIndex returns a hash index on the given column, keyed by interned
-// code: code → rows whose col-th argument carries it. Built on first
-// use; Database.Add invalidates all indexes of the relation, so an
-// existing index is always current. Concurrent callers are safe as long
-// as no tuple is added concurrently (databases are frozen after load in
-// concurrent settings, e.g. the explanation server's session registry).
+// CodeIndex returns the code index on the given column: code → the
+// rows whose col-th argument carries it, each bucket in ascending row
+// order. It is built on first use and from then on maintained by
+// Database.Add (which appends the new row to its bucket) and Delete
+// (which drops the row and renumbers the later rows), so an index is
+// always current and bucket order always equals a fresh build's.
+// Concurrent callers are safe as long as no tuple is added or deleted
+// concurrently: mutations must not race readers (the explanation
+// server serializes them with its per-session lock).
 func (r *Relation) CodeIndex(col int) map[uint32][]int32 { return r.ensureIndex(col) }
 
 func (r *Relation) ensureIndex(col int) map[uint32][]int32 {
-	if tbl := r.index.Load(); tbl != nil {
-		if idx, ok := (*tbl)[col]; ok {
-			return idx
-		}
+	if tbl := r.index.Load(); tbl != nil && (*tbl)[col] != nil {
+		return (*tbl)[col]
 	}
 	r.indexMu.Lock()
 	defer r.indexMu.Unlock()
 	// Re-check under the lock: a racing caller may have published col.
 	old := r.index.Load()
-	if old != nil {
-		if idx, ok := (*old)[col]; ok {
-			return idx
-		}
+	if old != nil && (*old)[col] != nil {
+		return (*old)[col]
 	}
 	vec := r.cols[col]
 	idx := make(map[uint32][]int32, len(vec))
 	for i, code := range vec {
 		idx[code] = append(idx[code], int32(i))
 	}
-	next := make(map[int]map[uint32][]int32)
+	next := make([]map[uint32][]int32, r.Arity)
 	if old != nil {
-		for c, m := range *old {
-			next[c] = m
-		}
+		copy(next, *old)
 	}
 	next[col] = idx
 	r.index.Store(&next)
 	return idx
+}
+
+// indexAppend files the relation's last row into every built code
+// index. Buckets stay ascending: the new row is the largest.
+func (r *Relation) indexAppend() {
+	tbl := r.index.Load()
+	if tbl == nil {
+		return
+	}
+	row := int32(len(r.rowIDs) - 1)
+	for c, idx := range *tbl {
+		if idx != nil {
+			code := r.cols[c][row]
+			idx[code] = append(idx[code], row)
+		}
+	}
+}
+
+// indexRemove updates every built code index for the removal of row,
+// before the column vectors shift: row leaves its bucket, and each
+// later row i is renumbered i-1 in place. Renumbering in ascending row
+// order keeps every bucket sorted throughout, so each renumbered entry
+// is found by binary search. The work is proportional to the rows
+// after the deleted one, not to the relation.
+func (r *Relation) indexRemove(row int) {
+	tbl := r.index.Load()
+	if tbl == nil {
+		return
+	}
+	for c, idx := range *tbl {
+		if idx == nil {
+			continue
+		}
+		col := r.cols[c]
+		code := col[row]
+		b := idx[code]
+		k := searchRow(b, int32(row))
+		if b = append(b[:k], b[k+1:]...); len(b) == 0 {
+			delete(idx, code)
+		} else {
+			idx[code] = b
+		}
+		for i := row + 1; i < len(col); i++ {
+			b := idx[col[i]]
+			b[searchRow(b, int32(i))] = int32(i - 1)
+		}
+	}
+}
+
+// searchRow returns the position of row in an ascending bucket that
+// holds it.
+func searchRow(bucket []int32, row int32) int {
+	return sort.Search(len(bucket), func(k int) bool { return bucket[k] >= row })
 }
 
 // Database is a set of relations plus a global tuple registry.
@@ -282,8 +342,8 @@ func (db *Database) Add(rel string, endo bool, args ...Value) (TupleID, error) {
 		r.cols[c] = append(r.cols[c], db.dict.intern(v))
 	}
 	r.rowIDs = append(r.rowIDs, id)
-	r.index.Store(nil) // invalidate code indexes
-	r.rows.Store(nil)  // invalidate the relation's adapter view
+	r.indexAppend()
+	r.rows.Store(nil) // invalidate the relation's adapter view
 	db.refs = append(db.refs, rowRef{rel: r, row: int32(r.Len() - 1)})
 	db.endo = append(db.endo, endo)
 	// Extend a materialized adapter view in place so previously handed
@@ -339,6 +399,7 @@ func (db *Database) Delete(id TupleID) error {
 	db.dead[id] = husk
 
 	r, row := ref.rel, int(ref.row)
+	r.indexRemove(row)
 	for c := range r.cols {
 		r.cols[c] = append(r.cols[c][:row], r.cols[c][row+1:]...)
 	}
@@ -346,7 +407,6 @@ func (db *Database) Delete(id TupleID) error {
 	for i := row; i < len(r.rowIDs); i++ {
 		db.refs[r.rowIDs[i]].row = int32(i)
 	}
-	r.index.Store(nil)
 	r.rows.Store(nil)
 	db.refs[id] = rowRef{}
 	db.endo[id] = false
@@ -400,10 +460,70 @@ func (db *Database) adapterRows() []*Tuple {
 // husk of a deleted one (check Live to distinguish). It panics on
 // out-of-range IDs, which indicate a bug in the caller.
 func (db *Database) Tuple(id TupleID) *Tuple {
+	db.checkID(id)
+	return db.adapterRows()[id]
+}
+
+// RelName returns the relation name of the identified tuple, live or
+// deleted, without materializing the adapter view. It panics on
+// out-of-range IDs, like Tuple.
+func (db *Database) RelName(id TupleID) string {
+	db.checkID(id)
+	if t, ok := db.dead[id]; ok {
+		return t.Rel
+	}
+	return db.refs[id].rel.Name
+}
+
+// AppendCodes appends the interned argument codes of the identified
+// tuple, live or deleted, to dst. It panics on out-of-range IDs, like
+// Tuple.
+func (db *Database) AppendCodes(dst []uint32, id TupleID) []uint32 {
+	db.checkID(id)
+	if t, ok := db.dead[id]; ok {
+		for _, v := range t.Args {
+			dst = append(dst, db.dict.codes[v]) // a husk's values stay interned
+		}
+		return dst
+	}
+	ref := db.refs[id]
+	for _, col := range ref.rel.cols {
+		dst = append(dst, col[ref.row])
+	}
+	return dst
+}
+
+// Render returns the rendered form of the identified tuple, equal to
+// Tuple(id).String() (a deleted tuple renders as its exogenous husk),
+// read straight off the code vectors without materializing the adapter
+// view. It panics on out-of-range IDs, like Tuple.
+func (db *Database) Render(id TupleID) string {
+	db.checkID(id)
+	if t, ok := db.dead[id]; ok {
+		return t.String()
+	}
+	ref := db.refs[id]
+	var b strings.Builder
+	b.WriteString(ref.rel.Name)
+	if db.endo[id] {
+		b.WriteString("^n(")
+	} else {
+		b.WriteString("^x(")
+	}
+	for c, col := range ref.rel.cols {
+		if c > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(string(db.dict.vals[col[ref.row]]))
+	}
+	b.WriteByte(')')
+	return b.String()
+}
+
+func (db *Database) checkID(id TupleID) {
 	if int(id) < 0 || int(id) >= len(db.refs) {
 		panic(fmt.Sprintf("rel: tuple id %d out of range [0,%d)", id, len(db.refs)))
 	}
-	return db.adapterRows()[id]
 }
 
 // NumTuples returns the size of the tuple-ID space: every tuple ever
@@ -418,6 +538,18 @@ func (db *Database) Tuples() []*Tuple { return db.adapterRows() }
 // Endo reports whether the identified tuple is endogenous, straight off
 // the columnar flag vector (no adapter materialization).
 func (db *Database) Endo(id TupleID) bool { return db.endo[id] }
+
+// NumEndo returns the number of endogenous tuples, straight off the
+// columnar flag vector (deleted tuples are exogenous).
+func (db *Database) NumEndo() int {
+	n := 0
+	for _, e := range db.endo {
+		if e {
+			n++
+		}
+	}
+	return n
+}
 
 // EndoIDs returns the IDs of all endogenous tuples, sorted.
 func (db *Database) EndoIDs() []TupleID {

@@ -137,11 +137,11 @@ func Build(db *rel.Database, q *rel.Query, ws *shape.Shape, order []int) (*Netwo
 		var endoOnPath []rel.TupleID
 		for pos := 0; pos < m; pos++ {
 			ai := order[pos]
-			tup := db.Tuple(val.Witness[ai])
+			id := val.Witness[ai]
 			left := nodeAt(pos, project(val.Binding, ifaceVars[pos]))
 			right := nodeAt(pos+1, project(val.Binding, ifaceVars[pos+1]))
-			if tup.Endo {
-				endoOnPath = append(endoOnPath, tup.ID)
+			if db.Endo(id) {
+				endoOnPath = append(endoOnPath, id)
 				cap_ := int64(1)
 				if !ws.Atoms[ai].Endo {
 					cap_ = flow.Inf
@@ -150,15 +150,15 @@ func Build(db *rel.Database, q *rel.Query, ws *shape.Shape, order []int) (*Netwo
 				// atom always projects to the same endpoints; a tuple of a
 				// dissociated atom gets one virtual edge per distinct
 				// endpoint pair.
-				k := fmt.Sprintf("t%d|%d|%d", tup.ID, left, right)
+				k := fmt.Sprintf("t%d|%d|%d", id, left, right)
 				if !infEdges[k] {
 					infEdges[k] = true
-					e, err := n.g.AddEdge(left, right, cap_, tup.ID)
+					e, err := n.g.AddEdge(left, right, cap_, id)
 					if err != nil {
 						return nil, err
 					}
-					n.edgeByTuple[tup.ID] = append(n.edgeByTuple[tup.ID], e)
-					n.defaultCap[tup.ID] = cap_
+					n.edgeByTuple[id] = append(n.edgeByTuple[id], e)
+					n.defaultCap[id] = cap_
 				}
 			} else {
 				k := fmt.Sprintf("x%d|%d|%d", pos, left, right)

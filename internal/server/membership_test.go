@@ -235,17 +235,19 @@ func TestJoinRebalancesSessions(t *testing.T) {
 		t.Fatalf("redirect %s = %q, want 2", EpochHeader, got)
 	}
 
-	// The handoff counters saw it.
-	var out uint64
-	for _, sv := range srvs {
-		out += sv.handoffsOut.Load()
-	}
-	if out == 0 {
-		t.Fatal("founders' handoffsOut stayed zero")
-	}
-	if got := joinSrv.handoffsIn.Load(); got == 0 {
-		t.Fatal("joiner's handoffsIn stayed zero")
-	}
+	// The handoff counters saw it. Each side counts once its half is
+	// done: the joiner after installing the session, the sender only
+	// after the joiner's acknowledgment reached it, which may be after
+	// the session is already served at the joiner.
+	eventually(t, 5*time.Second, func() bool {
+		var out uint64
+		for _, sv := range srvs {
+			out += sv.handoffsOut.Load()
+		}
+		return out > 0
+	}, "founders' handoffsOut stayed zero")
+	eventually(t, 5*time.Second, func() bool { return joinSrv.handoffsIn.Load() > 0 },
+		"joiner's handoffsIn stayed zero")
 }
 
 // TestHandoffGraceAnswers503: a clustered node asked for a session it

@@ -252,7 +252,7 @@ func (s *session) applyDelete(id rel.TupleID) (invalidation, error) {
 		return invalidation{}, qerr.Tag(qerr.ErrTupleNotFound,
 			fmt.Errorf("session %s has no live tuple %d", s.id, id))
 	}
-	relName := s.db.Tuple(id).Rel
+	relName := s.db.RelName(id)
 	wasEndo := s.db.Endo(id)
 	_, endoBefore := relProfile(s.db.Relation(relName))
 	if err := s.db.Delete(id); err != nil {
@@ -358,7 +358,7 @@ func (s *Server) handleDeleteTuple(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sess.db.Live(rel.TupleID(id)) {
-		relName = sess.db.Tuple(rel.TupleID(id)).Rel
+		relName = sess.db.RelName(rel.TupleID(id))
 	}
 	inv, derr := sess.applyDelete(rel.TupleID(id))
 	version, live := sess.db.Version(), sess.db.NumLive()

@@ -95,12 +95,7 @@ func (r *registry) restore(snap *persist.Snapshot) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	endo := 0
-	for _, t := range db.Tuples() {
-		if t.Endo {
-			endo++
-		}
-	}
+	endo := db.NumEndo()
 	now := r.clock()
 	s := &session{
 		id:       snap.ID,

@@ -531,7 +531,7 @@ func renderTuples(tuples map[int]string, db *rel.Database, ids []rel.TupleID) ma
 		if tuples == nil {
 			tuples = make(map[int]string)
 		}
-		tuples[int(id)] = db.Tuple(id).String()
+		tuples[int(id)] = db.Render(id)
 	}
 	return tuples
 }
@@ -542,7 +542,7 @@ func renderTuples(tuples map[int]string, db *rel.Database, ids []rel.TupleID) ma
 func NewExplanationDTO(db *rel.Database, e core.Explanation) ExplanationDTO {
 	d := ExplanationDTO{
 		TupleID:         int(e.Tuple),
-		Tuple:           db.Tuple(e.Tuple).String(),
+		Tuple:           db.Render(e.Tuple),
 		Rho:             e.Rho,
 		ContingencySize: e.ContingencySize,
 		Method:          e.Method.String(),

@@ -352,12 +352,7 @@ func newRegistry(maxSessions, preparedCap, certCap, engineCap int, clock func() 
 // when the registry is full.
 func (r *registry) add(db *rel.Database) *session {
 	now := r.clock()
-	endo := 0
-	for _, t := range db.Tuples() {
-		if t.Endo {
-			endo++
-		}
-	}
+	endo := db.NumEndo()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for len(r.sessions) >= r.maxSessions && r.evictLRULocked() {

@@ -142,7 +142,7 @@ func FormatExplanations(db *Database, exps []Explanation) string {
 	var b strings.Builder
 	b.WriteString("  ρ_t    tuple\n")
 	for _, e := range exps {
-		fmt.Fprintf(&b, "  %.3f  %v\n", e.Rho, db.Tuple(e.Tuple))
+		fmt.Fprintf(&b, "  %.3f  %s\n", e.Rho, db.Render(e.Tuple))
 	}
 	return b.String()
 }

@@ -170,9 +170,10 @@ type localSession struct {
 	db  *Database
 	cfg config
 	// dbMu serializes mutations (Insert/Delete, write-locked) against
-	// engine construction and batch evaluation (read-locked) — the same
-	// discipline the server applies per session. Rankings already
-	// opened hold self-contained engine state and need no lock.
+	// engine construction, batch evaluation and a ranking's preparation
+	// (read-locked) — the same discipline the server applies per
+	// session. Once prepared, a ranking's solving reads only engine
+	// state and needs no lock.
 	dbMu   sync.RWMutex
 	closed atomic.Bool
 	// watch fans live-explanation frames out to Watch subscribers.
@@ -293,7 +294,7 @@ func (s *localSession) Delete(ctx context.Context, id TupleID) error {
 	if !s.db.Live(id) {
 		return qerr.Tag(qerr.ErrTupleNotFound, fmt.Errorf("querycause: no live tuple %d", id))
 	}
-	relName := s.db.Tuple(id).Rel
+	relName := s.db.RelName(id)
 	if err := s.db.Delete(id); err != nil {
 		return err
 	}
@@ -445,6 +446,18 @@ type localRanking struct {
 	eng *core.Engine
 }
 
+// prepare builds what the engine's ranking in mode reads from the
+// database (certificate, base flow network) under the session's read
+// lock, so a concurrent Insert or Delete cannot rewrite the database
+// under it. The solving that follows reads only engine state and runs
+// unlocked: a RankStream consumer may mutate the session inside its
+// loop.
+func (r *localRanking) prepare(mode core.Mode) error {
+	r.s.dbMu.RLock()
+	defer r.s.dbMu.RUnlock()
+	return r.eng.Prepare(mode)
+}
+
 func (r *localRanking) Causes(ctx context.Context) ([]TupleID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -456,6 +469,9 @@ func (r *localRanking) Rank(ctx context.Context, opts ...Option) ([]Explanation,
 	cfg := r.s.cfg.apply(opts)
 	ctx, cancel := cfg.withTimeout(ctx)
 	defer cancel()
+	if err := r.prepare(cfg.mode); err != nil {
+		return nil, err
+	}
 	return r.eng.Rank(ctx, cfg.mode, cfg.parallelism)
 }
 
@@ -464,6 +480,10 @@ func (r *localRanking) RankStream(ctx context.Context, opts ...Option) iter.Seq2
 	return func(yield func(Explanation, error) bool) {
 		ctx, cancel := cfg.withTimeout(ctx)
 		defer cancel()
+		if err := r.prepare(cfg.mode); err != nil {
+			yield(Explanation{}, err)
+			return
+		}
 		for ex, err := range r.eng.RankStream(ctx, cfg.mode, core.StreamOptions{
 			Workers:         cfg.parallelism,
 			CompletionOrder: cfg.completionOrder,
