@@ -264,9 +264,9 @@ func parallelSweep() []int {
 
 // BenchmarkE18_ParallelRanking measures Engine.Rank across worker
 // counts on both sides of the responsibility dichotomy: a weakly
-// linear query solved per cause by Algorithm 1 (max-flow over
-// per-worker networks, pooled and Reset across rankings instead of
-// cloned per call) and the NP-hard star h₁* solved per cause by the
+// linear query solved per cause by Algorithm 1 (a min cut per
+// protect-set over the component it touches of the engine's one
+// read-only network) and the NP-hard star h₁* solved per cause by the
 // indexed branch-and-bound over the shared interned lineage. serial is
 // one worker, run inline on the caller's goroutine (parallel=1 is the
 // same path); the speedup at parallel=w is serial_ns / parallel_ns on
@@ -306,9 +306,8 @@ func BenchmarkE18_ParallelRanking(b *testing.B) {
 	for _, c := range cases {
 		eng := c.eng(b)
 		ctx := context.Background()
-		// Warm the lazy caches (classification certificate, base flow
-		// network, network pool) so every variant times only the
-		// per-cause work.
+		// Warm the lazy caches (classification certificate, flow
+		// network) so every variant times only the per-cause work.
 		want, err := eng.Rank(ctx, c.mode, 1)
 		if err != nil {
 			b.Fatal(err)

@@ -60,8 +60,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 
 	qc "github.com/querycause/querycause"
@@ -316,6 +318,23 @@ func fig7() {
 // fig9 demonstrates the h₂*→h₃* transform.
 func fig9() {
 	header("Figure 9: h2* instance → h3* instance, responsibilities preserved")
+	fmt.Printf("%-16s %-10s %-10s\n", "h2 tuple", "ρ in h2", "ρ of image in h3")
+	for _, r := range fig9Rows() {
+		fmt.Printf("%-16s %-10s %-10s\n", r.tuple, r.rho2, r.rho3)
+	}
+}
+
+// fig9Row is one h2* tuple with its responsibility and that of its h3*
+// image.
+type fig9Row struct {
+	id         rel.TupleID
+	tuple      string
+	rho2, rho3 string
+}
+
+// fig9Rows maps the Fig. 9 h2* instance to h3* and returns one row per
+// h2* tuple, in ascending tuple id.
+func fig9Rows() []fig9Row {
 	db := rel.NewDatabase()
 	rows := map[string][][2]rel.Value{
 		"R": {{"1", "1"}, {"1", "2"}},
@@ -331,19 +350,20 @@ func fig9() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-16s %-10s %-10s\n", "h2 tuple", "ρ in h2", "ρ of image in h3")
-	for old, new_ := range mapping {
+	var out []fig9Row
+	for _, old := range slices.Sorted(maps.Keys(mapping)) {
 		s2, ok2, _ := exact.MinContingencyDB(db, reductions.H2Query(), old)
-		s3, ok3, _ := exact.MinContingencyDB(db3, reductions.H3Query(), new_)
-		r2, r3 := "0", "0"
+		s3, ok3, _ := exact.MinContingencyDB(db3, reductions.H3Query(), mapping[old])
+		r := fig9Row{id: old, tuple: fmt.Sprint(db.Tuple(old)), rho2: "0", rho3: "0"}
 		if ok2 {
-			r2 = fmt.Sprintf("1/%d", s2+1)
+			r.rho2 = fmt.Sprintf("1/%d", s2+1)
 		}
 		if ok3 {
-			r3 = fmt.Sprintf("1/%d", s3+1)
+			r.rho3 = fmt.Sprintf("1/%d", s3+1)
 		}
-		fmt.Printf("%-16v %-10s %-10s\n", db.Tuple(old), r2, r3)
+		out = append(out, r)
 	}
+	return out
 }
 
 // thm415 runs the LOGSPACE chain.

@@ -22,7 +22,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/querycause/querycause/internal/exact"
 	"github.com/querycause/querycause/internal/lineage"
@@ -138,10 +137,10 @@ type Explanation struct {
 // over one database instance. Build one per (db, query, answer). An
 // Engine may be shared by concurrent goroutines (e.g. a server
 // answering repeated explain requests): the lazily computed
-// certificates, base flow networks and sorted rankings are
-// mutex-guarded and read-only once built, every flow computation runs
-// on a private clone taken from a per-engine pool, and everything else
-// is immutable after construction. A mutation that can change an
+// certificates, flow networks and sorted rankings are mutex-guarded and
+// read-only once built, every flow computation solves on residuals
+// private to the call over the shared network, and everything else is
+// immutable after construction. A mutation that can change an
 // engine's answers replaces or drops the engine (see internal/server's
 // invalidation), so none of these caches needs invalidating.
 type Engine struct {
@@ -160,8 +159,8 @@ type Engine struct {
 	exIndex *lineage.Index
 
 	// mu guards the lazy caches below; all other fields are read-only
-	// after newEngine returns. A cached network is a clone template:
-	// nothing solves on it, so cloning it needs no lock. ranks memoizes
+	// after newEngine returns. A cached network is read-only once
+	// built, so workers solve on it without the lock. ranks memoizes
 	// Rank's sorted result per mode, allocated by the first Rank (most
 	// engines of an in-process session are never ranked twice); Rank
 	// hands out deep copies, so the memo itself is never written after
@@ -171,13 +170,6 @@ type Engine struct {
 	paperCert *rewrite.Certificate
 	nets      map[Mode]*respflow.Network
 	ranks     map[Mode][]Explanation
-	// netPool parks private network clones between flow computations
-	// (see acquireNet/releaseNet in stream.go); guarded by poolMu.
-	// clones counts the networks ever cloned from a template, so tests
-	// can check that the pool is reused.
-	poolMu  sync.Mutex
-	netPool map[Mode][]*respflow.Network
-	clones  atomic.Int64
 }
 
 // NewWhySo builds the engine for an answer: q may be Boolean (no
@@ -244,7 +236,6 @@ func engineFromLineage(db *rel.Database, bq *rel.Query, n lineage.DNF, isWhyNo b
 		nlineage: n,
 		causeSet: make(map[rel.TupleID]bool),
 		nets:     make(map[Mode]*respflow.Network),
-		netPool:  make(map[Mode][]*respflow.Network),
 	}
 	if !n.True {
 		e.causes = n.Vars()
@@ -385,8 +376,8 @@ func (e *Engine) isCounterfactual(t rel.TupleID) bool {
 }
 
 // baseNetwork returns the engine's flow network for mode — built on
-// first use and cached as the read-only template that every flow
-// computation clones — or nil when no cause takes the flow path:
+// first use and cached read-only, every flow computation solving on it
+// — or nil when no cause takes the flow path:
 // Why-No engines, ModeExact, self-joins, queries the mode's
 // certificate does not place on the PTIME side of the dichotomy, and
 // lineages whose causes are all counterfactual.
@@ -438,9 +429,10 @@ func (e *Engine) anyNonCounterfactualCause() bool {
 	return false
 }
 
-// Responsibility computes the explanation for tuple t. Requests for
-// tuples that can never be causes (out of range, or exogenous) are
-// tagged qerr.ErrNotCause.
+// Responsibility computes the explanation for tuple t, on the flow path
+// by solving on the engine's shared network like a ranking worker.
+// Requests for tuples that can never be causes (out of range, or
+// exogenous) are tagged qerr.ErrNotCause.
 func (e *Engine) Responsibility(t rel.TupleID, mode Mode) (Explanation, error) {
 	if int(t) < 0 || int(t) >= e.db.NumTuples() {
 		return Explanation{}, qerr.Tag(qerr.ErrNotCause, fmt.Errorf("core: tuple id %d out of range", t))
@@ -450,23 +442,19 @@ func (e *Engine) Responsibility(t rel.TupleID, mode Mode) (Explanation, error) {
 	}
 	var net *respflow.Network
 	if e.causeSet[t] && !e.isCounterfactual(t) {
-		base, err := e.baseNetwork(mode)
-		if err != nil {
+		var err error
+		if net, err = e.baseNetwork(mode); err != nil {
 			return Explanation{}, err
 		}
-		net = e.acquireNet(mode, base)
-		defer e.releaseNet(mode, net)
 	}
 	return e.explain(t, net), nil
 }
 
 // explain computes the explanation for one endogenous tuple. A non-nil
-// net selects the flow path and must be private to the calling
-// goroutine (a pooled clone of the engine's base network); nil
-// dispatches the non-trivial Why-So case to the exact solver.
-// Everything else explain reads on the engine is immutable after
-// construction, so concurrent calls with distinct networks are
-// race-free.
+// net (the engine's network for the mode) selects the flow path; nil
+// dispatches the non-trivial Why-So case to the exact solver. The
+// network is read-only and everything else explain reads on the engine
+// is immutable after construction, so concurrent calls are race-free.
 func (e *Engine) explain(t rel.TupleID, net *respflow.Network) Explanation {
 	if !e.causeSet[t] {
 		return Explanation{Tuple: t, Rho: 0, ContingencySize: -1, Method: MethodNone}

@@ -9,7 +9,7 @@ import (
 )
 
 // flowEngine builds a weakly linear engine whose ranking takes the
-// flow path, so every solve needs a network from the pool.
+// flow path, so every solve needs the engine's network.
 func flowEngine(t *testing.T) *Engine {
 	t.Helper()
 	db, q, _ := workload.Chain2(5, 24)
@@ -21,9 +21,9 @@ func flowEngine(t *testing.T) *Engine {
 }
 
 // TestRankMemoSolvesOnce: a second Rank of the same mode is a lookup.
-// The one pooled network is held out of the pool during it, so any flow
-// solve would have to clone a new one; the clone counter stays put and
-// the ranking is byte-identical to the first, at any worker count.
+// The engine's networks are dropped after the first Rank, so any flow
+// solve would have to build one again; none is built, and the ranking
+// is byte-identical to the first, at any worker count.
 func TestRankMemoSolvesOnce(t *testing.T) {
 	ctx := context.Background()
 	eng := flowEngine(t)
@@ -36,22 +36,21 @@ func TestRankMemoSolvesOnce(t *testing.T) {
 		flow = flow || ex.Method == MethodFlow
 	}
 	if !flow {
-		t.Fatal("workload took no flow solve; the clone counter proves nothing")
+		t.Fatal("workload took no flow solve; an unbuilt network proves nothing")
 	}
-	base, err := eng.baseNetwork(ModeAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := eng.acquireNet(ModeAuto, base)
-	defer eng.releaseNet(ModeAuto, held)
-	clones := eng.clones.Load()
+	eng.mu.Lock()
+	clear(eng.nets)
+	eng.mu.Unlock()
 	for _, workers := range []int{1, 4} {
 		again, err := eng.Rank(ctx, ModeAuto, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := eng.clones.Load(); got != clones {
-			t.Fatalf("workers %d: memoized Rank cloned %d networks", workers, got-clones)
+		eng.mu.Lock()
+		built := len(eng.nets)
+		eng.mu.Unlock()
+		if built != 0 {
+			t.Fatalf("workers %d: memoized Rank built %d networks", workers, built)
 		}
 		if renderRanking(again) != renderRanking(first) {
 			t.Fatalf("workers %d: memoized ranking differs:\n%s\nwant:\n%s", workers, renderRanking(again), renderRanking(first))

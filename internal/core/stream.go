@@ -7,10 +7,10 @@
 // it is computed (on wide NP-hard lineages a caller sees its first
 // explanation after one search instead of all of them), and Rank
 // drains it and sorts. The exact and Why-No solvers are pure functions
-// of the shared interned lineage index; each flow computation runs on
-// a private network taken from a per-engine pool — cloned from the
-// engine's read-only base network on first use, Reset and parked on
-// release — so no lock is held while solving.
+// of the shared interned lineage index, and every flow computation
+// solves on residuals private to the call over the engine's one
+// read-only network, so every worker shares the same state and no lock
+// is held while solving.
 package core
 
 import (
@@ -137,7 +137,7 @@ func (e *Engine) RankStream(ctx context.Context, mode Mode, opts StreamOptions) 
 		// Resolve shared read-only state up front: lazy certificate and
 		// network computation must not first happen from racing workers,
 		// and setup errors surface before any explanation is emitted.
-		base, err := e.baseNetwork(mode)
+		net, err := e.baseNetwork(mode)
 		if err != nil {
 			yield(Explanation{}, err)
 			return
@@ -152,7 +152,7 @@ func (e *Engine) RankStream(ctx context.Context, mode Mode, opts StreamOptions) 
 			// One worker runs inline: no goroutine, no channel, and
 			// completion order is cause order.
 			stopped := false
-			e.work(ctx, mode, base, &next, func(_ int, ex Explanation) bool {
+			e.work(ctx, net, &next, func(_ int, ex Explanation) bool {
 				stopped = !yield(ex, nil)
 				return !stopped
 			})
@@ -173,7 +173,7 @@ func (e *Engine) RankStream(ctx context.Context, mode Mode, opts StreamOptions) 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e.work(sctx, mode, base, &next, func(i int, ex Explanation) bool {
+				e.work(sctx, net, &next, func(i int, ex Explanation) bool {
 					select {
 					case ch <- item{i, ex}:
 						return true
@@ -230,12 +230,10 @@ func (e *Engine) RankStream(ctx context.Context, mode Mode, opts StreamOptions) 
 }
 
 // work is the body of one ranking worker: it claims cause indices from
-// next until none remain or ctx ends, explains each on a private
-// network from the pool (nil when no cause takes the flow path), and
-// hands the result to emit, stopping when emit returns false.
-func (e *Engine) work(ctx context.Context, mode Mode, base *respflow.Network, next *atomic.Int64, emit func(i int, ex Explanation) bool) {
-	net := e.acquireNet(mode, base)
-	defer e.releaseNet(mode, net)
+// next until none remain or ctx ends, explains each on the shared
+// network (nil when no cause takes the flow path), and hands the result
+// to emit, stopping when emit returns false.
+func (e *Engine) work(ctx context.Context, net *respflow.Network, next *atomic.Int64, emit func(i int, ex Explanation) bool) {
 	for {
 		i := int(next.Add(1)) - 1
 		if i >= len(e.causes) || ctx.Err() != nil {
@@ -245,42 +243,6 @@ func (e *Engine) work(ctx context.Context, mode Mode, base *respflow.Network, ne
 			return
 		}
 	}
-}
-
-// acquireNet returns a private network for mode: a parked one when the
-// pool has any (Reset restored it to resting state on release), else a
-// fresh Clone of base. The base network is never solved on, so
-// cloning it needs no lock. A nil base yields nil.
-func (e *Engine) acquireNet(mode Mode, base *respflow.Network) *respflow.Network {
-	if base == nil {
-		return nil
-	}
-	e.poolMu.Lock()
-	if pool := e.netPool[mode]; len(pool) > 0 {
-		net := pool[len(pool)-1]
-		e.netPool[mode] = pool[:len(pool)-1]
-		e.poolMu.Unlock()
-		return net
-	}
-	e.poolMu.Unlock()
-	e.clones.Add(1)
-	return base.Clone()
-}
-
-// releaseNet resets net and parks it for the next flow computation.
-// The pool is bounded by GOMAXPROCS — more workers than cores never
-// pay off, so anything beyond that is discarded rather than held for
-// the engine's lifetime. A nil net is a no-op.
-func (e *Engine) releaseNet(mode Mode, net *respflow.Network) {
-	if net == nil {
-		return
-	}
-	net.Reset()
-	e.poolMu.Lock()
-	if len(e.netPool[mode]) < runtime.GOMAXPROCS(0) {
-		e.netPool[mode] = append(e.netPool[mode], net)
-	}
-	e.poolMu.Unlock()
 }
 
 // SortExplanations sorts a ranking in place into the paper's Fig. 2b

@@ -10,7 +10,6 @@ import (
 
 	"github.com/querycause/querycause/internal/imdb"
 	"github.com/querycause/querycause/internal/rel"
-	"github.com/querycause/querycause/internal/respflow"
 	"github.com/querycause/querycause/internal/whyno"
 	"github.com/querycause/querycause/internal/workload"
 )
@@ -299,13 +298,15 @@ func TestRankStreamPreCanceled(t *testing.T) {
 	}
 }
 
-// TestNetworkPoolReuse: flow computations run on pooled, Reset network
-// clones, never on the engine's base network. A one-worker ranking
-// clones at most one network, single-tuple Responsibility calls reuse
-// it, a ranking at the pool's capacity clones nothing once the pool is
-// primed, and every pooled ranking stays byte-identical to the first.
-func TestNetworkPoolReuse(t *testing.T) {
+// TestRankStreamSharedNetwork: every flow computation of an engine
+// solves on its one network, which no solve writes. RankStream at 1, 2
+// and 8 workers, in either emission order and with several streams
+// running at once, drains to exactly what Rank returns, and the engine
+// still holds the network it built first. Run under -race: a write to
+// the shared network from two workers is a reported race.
+func TestRankStreamSharedNetwork(t *testing.T) {
 	ctx := context.Background()
+	flowSeen := false
 	for _, w := range rankWorkloads() {
 		if w.whyNo {
 			continue
@@ -315,68 +316,40 @@ func TestNetworkPoolReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.name, err)
 		}
-		usesFlow := false
-		for _, ex := range want {
-			if ex.Method == MethodFlow {
-				usesFlow = true
-			}
-		}
-		wantClones := int64(0)
-		if usesFlow {
-			wantClones = 1
-		}
-		if got := eng.clones.Load(); got != wantClones {
-			t.Fatalf("%s: one-worker ranking cloned %d networks; want %d", w.name, got, wantClones)
-		}
-		for _, c := range eng.Causes() {
-			if _, err := eng.Responsibility(c, ModeAuto); err != nil {
-				t.Fatalf("%s: Responsibility(%d): %v", w.name, c, err)
-			}
-		}
-		if got := eng.clones.Load(); got != wantClones {
-			t.Fatalf("%s: single-tuple Responsibility cloned past the pool (%d clones)", w.name, got)
-		}
-		// The pool holds up to GOMAXPROCS networks, so a ranking at that
-		// worker count is fully served by the pool once primed. A ranking
-		// does not prime it reliably (its workers need not hold networks
-		// at the same time), so fill it to capacity first.
-		workers := runtime.GOMAXPROCS(0)
-		if base, err := eng.baseNetwork(ModeAuto); err != nil {
+		net, err := eng.baseNetwork(ModeAuto)
+		if err != nil {
 			t.Fatalf("%s: %v", w.name, err)
-		} else if base != nil {
-			held := make([]*respflow.Network, workers)
-			for i := range held {
-				held[i] = eng.acquireNet(ModeAuto, base)
+		}
+		flowSeen = flowSeen || net != nil
+		for _, workers := range []int{1, 2, 8} {
+			done := make(chan []Explanation, 3)
+			for i := 0; i < cap(done); i++ {
+				go func() {
+					var got []Explanation
+					for ex, err := range eng.RankStream(ctx, ModeAuto, StreamOptions{Workers: workers, CompletionOrder: i%2 == 1}) {
+						if err != nil {
+							t.Errorf("%s: stream error: %v", w.name, err)
+							break
+						}
+						got = append(got, ex)
+					}
+					SortExplanations(got)
+					done <- got
+				}()
 			}
-			for _, net := range held {
-				eng.releaseNet(ModeAuto, net)
+			for i := 0; i < cap(done); i++ {
+				if got := <-done; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s workers %d: stream on the shared network diverged\ngot:\n%s\nwant:\n%s",
+						w.name, workers, renderRanking(got), renderRanking(want))
+				}
 			}
 		}
-		primed := eng.clones.Load()
-		for round := 0; round < 4; round++ {
-			got, err := eng.Rank(ctx, ModeAuto, workers)
-			if err != nil {
-				t.Fatalf("%s round %d: %v", w.name, round, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s round %d: pooled ranking diverged\ngot:\n%s\nwant:\n%s",
-					w.name, round, renderRanking(got), renderRanking(want))
-			}
-			streamed := drainStream(t, eng, ModeAuto, StreamOptions{Workers: workers})
-			SortExplanations(streamed)
-			if !reflect.DeepEqual(streamed, want) {
-				t.Fatalf("%s round %d: pooled stream diverged", w.name, round)
-			}
-			if got := eng.clones.Load(); got != primed {
-				t.Fatalf("%s round %d: primed pool still cloned %d networks", w.name, round, got-primed)
-			}
+		if again, err := eng.baseNetwork(ModeAuto); err != nil || again != net {
+			t.Fatalf("%s: the engine's network changed under its rankings (%v)", w.name, err)
 		}
-		eng.poolMu.Lock()
-		pooled := len(eng.netPool[ModeAuto])
-		eng.poolMu.Unlock()
-		if usesFlow && pooled == 0 {
-			t.Errorf("%s: flow-path engine has an empty network pool after its rankings", w.name)
-		}
+	}
+	if !flowSeen {
+		t.Fatal("no workload took the flow path; the test proves nothing")
 	}
 }
 
@@ -456,8 +429,7 @@ func TestRankCancellation(t *testing.T) {
 // COLD shared engine, many concurrent callers mixing Rank at one and at
 // several workers, drained RankStreams and single-tuple Responsibility.
 // The lazy caches are first populated under contention, and every flow
-// computation runs on its own pooled clone of the read-only base
-// network; run under -race.
+// computation solves on the one read-only network; run under -race.
 func TestRankSharedEngine(t *testing.T) {
 	db, q, _ := workload.TriangleExoS(7, 12)
 	ref, err := NewWhySo(db, q)

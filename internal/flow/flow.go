@@ -6,6 +6,13 @@
 // flows), adequate for the unit-capacity-dominated networks produced by
 // the responsibility reduction. Capacities may be Inf; a max flow value
 // of at least InfThreshold means no finite cut exists.
+//
+// A Graph holds only its edges and their resting capacities, and no
+// solve writes it. A solve pushes flow through a residual slice the
+// caller owns (a copy of the resting capacities from Residual, with any
+// capacity overridden first), using a Solver for its work arrays. Once
+// built, a Graph may therefore be shared by any number of goroutines,
+// each solving with its own residual and Solver.
 package flow
 
 import (
@@ -22,141 +29,82 @@ const Inf int64 = math.MaxInt64 / 8
 // tuples, far below this.
 const InfThreshold int64 = Inf / 2
 
-// Edge is one directed edge with residual bookkeeping.
-type Edge struct {
-	From, To int
-	Cap      int64 // remaining capacity
-	Orig     int64 // original capacity
-	Payload  any   // caller tag (e.g. a tuple ID); nil for stub edges
-	rev      int   // index of reverse edge in adj[To]
-}
-
-// Graph is a flow network on vertices 0..N-1.
+// Graph is a flow network on vertices 0..N()-1 in dense arrays. The
+// i-th edge added is arc 2i; arc a^1 is the reverse of arc a, running
+// the other way with resting capacity 0.
 type Graph struct {
-	N   int
-	adj [][]*Edge
+	head []int32 // first arc leaving each vertex, -1 if none
+	next []int32 // next arc leaving the same vertex, -1 at the end
+	to   []int32 // head vertex of each arc
+	cap  []int64 // resting capacity of each arc
 }
 
 // NewGraph returns an empty network on n vertices.
 func NewGraph(n int) *Graph {
-	return &Graph{N: n, adj: make([][]*Edge, n)}
+	g := &Graph{head: make([]int32, n)}
+	for v := range g.head {
+		g.head[v] = -1
+	}
+	return g
 }
+
+// N is the number of vertices.
+func (g *Graph) N() int { return len(g.head) }
 
 // AddVertex appends a vertex and returns its index.
 func (g *Graph) AddVertex() int {
-	g.adj = append(g.adj, nil)
-	g.N++
-	return g.N - 1
+	g.head = append(g.head, -1)
+	return len(g.head) - 1
 }
 
-// AddEdge adds a directed edge with the given capacity and payload and
-// returns it (so callers can later adjust its capacity via SetCap).
-func (g *Graph) AddEdge(from, to int, cap_ int64, payload any) (*Edge, error) {
-	if from < 0 || from >= g.N || to < 0 || to >= g.N {
-		return nil, fmt.Errorf("flow: edge (%d,%d) out of range [0,%d)", from, to, g.N)
+// AddEdge adds a directed edge with the given capacity and returns its
+// arc, the index at which solves read and callers override its
+// capacity in a residual.
+func (g *Graph) AddEdge(from, to int, c int64) (int, error) {
+	if from < 0 || from >= g.N() || to < 0 || to >= g.N() {
+		return 0, fmt.Errorf("flow: edge (%d,%d) out of range [0,%d)", from, to, g.N())
 	}
-	e := &Edge{From: from, To: to, Cap: cap_, Orig: cap_, Payload: payload}
-	r := &Edge{From: to, To: from, Cap: 0, Orig: 0}
-	e.rev = len(g.adj[to])
-	r.rev = len(g.adj[from])
-	g.adj[from] = append(g.adj[from], e)
-	g.adj[to] = append(g.adj[to], r)
-	return e, nil
+	a := len(g.to)
+	g.to = append(g.to, int32(to), int32(from))
+	g.cap = append(g.cap, c, 0)
+	g.next = append(g.next, g.head[from], g.head[to])
+	g.head[from], g.head[to] = int32(a), int32(a+1)
+	return a, nil
 }
 
-// Clone returns a deep copy of the graph plus the mapping from each
-// original edge to its copy, so callers holding edge handles (for
-// SetCap) can translate them. Adjacency order — and hence search order,
-// max-flow augmentation order and min-cut edge order — is preserved
-// exactly, making a clone's results bit-identical to the original's.
-func (g *Graph) Clone() (*Graph, map[*Edge]*Edge) {
-	ng := &Graph{N: g.N, adj: make([][]*Edge, len(g.adj))}
-	remap := make(map[*Edge]*Edge)
-	for v, es := range g.adj {
-		ng.adj[v] = make([]*Edge, len(es))
-		for i, e := range es {
-			c := *e
-			ng.adj[v][i] = &c
-			remap[e] = &c
-		}
-	}
-	return ng, remap
-}
+// Residual copies the resting capacities into dst, reusing its backing
+// array when it is large enough: the starting residual of a solve.
+// Only the capacities of arcs AddEdge returned may be overridden in it.
+func (g *Graph) Residual(dst []int64) []int64 { return append(dst[:0], g.cap...) }
 
-// SetCap rewrites an edge's capacity (both remaining and original).
-// Flows computed earlier are invalidated; call Reset before re-running.
-func (g *Graph) SetCap(e *Edge, cap_ int64) {
-	e.Cap = cap_
-	e.Orig = cap_
-}
-
-// Reset restores all residual capacities to their original values.
-func (g *Graph) Reset() {
-	for _, es := range g.adj {
-		for _, e := range es {
-			e.Cap = e.Orig
-		}
-	}
-}
-
-// MaxFlow computes the maximum s-t flow. The graph's residual state is
-// reset first, so calls are independent.
+// MaxFlow computes the maximum s-t flow at the resting capacities.
 func (g *Graph) MaxFlow(s, t int) int64 {
-	g.Reset()
+	var sv Solver
+	return sv.MaxFlow(g, g.Residual(nil), s, t)
+}
+
+// Solver holds the work arrays of Dinic's algorithm, reused across
+// solves. It is not safe for concurrent use; the graphs it solves are.
+type Solver struct {
+	level []int32
+	iter  []int32
+	queue []int32
+}
+
+// MaxFlow pushes a maximum s-t flow through g, reading and updating the
+// residual capacities res, and returns its value.
+func (sv *Solver) MaxFlow(g *Graph, res []int64, s, t int) int64 {
 	if s == t {
 		return Inf
 	}
 	var total int64
-	level := make([]int, g.N)
-	iter := make([]int, g.N)
-	queue := make([]int, 0, g.N)
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
+	for {
+		if sv.bfs(g, res, s); sv.level[t] < 0 {
+			return total
 		}
-		level[s] = 0
-		queue = queue[:0]
-		queue = append(queue, s)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, e := range g.adj[v] {
-				if e.Cap > 0 && level[e.To] < 0 {
-					level[e.To] = level[v] + 1
-					queue = append(queue, e.To)
-				}
-			}
-		}
-		return level[t] >= 0
-	}
-
-	var dfs func(v int, f int64) int64
-	dfs = func(v int, f int64) int64 {
-		if v == t {
-			return f
-		}
-		for ; iter[v] < len(g.adj[v]); iter[v]++ {
-			e := g.adj[v][iter[v]]
-			if e.Cap <= 0 || level[e.To] != level[v]+1 {
-				continue
-			}
-			d := dfs(e.To, min64(f, e.Cap))
-			if d > 0 {
-				e.Cap -= d
-				g.adj[e.To][e.rev].Cap += d
-				return d
-			}
-		}
-		return 0
-	}
-
-	for bfs() {
-		for i := range iter {
-			iter[i] = 0
-		}
+		sv.iter = append(sv.iter[:0], g.head...)
 		for {
-			f := dfs(s, Inf)
+			f := sv.dfs(g, res, int32(s), int32(t), Inf)
 			if f == 0 {
 				break
 			}
@@ -166,44 +114,64 @@ func (g *Graph) MaxFlow(s, t int) int64 {
 			}
 		}
 	}
-	return total
 }
 
-// MinCut computes the maximum flow and returns the saturated edges of
-// the corresponding minimum cut: original edges from the source side of
-// the residual graph to the sink side. The returned value is the flow.
-func (g *Graph) MinCut(s, t int) (int64, []*Edge) {
-	v := g.MaxFlow(s, t)
-	if v >= InfThreshold {
-		return v, nil
+// Cut appends to dst the arcs of the minimum cut nearest s, once
+// MaxFlow has returned a finite value on res: the arcs that carry flow
+// from a vertex the residual still reaches from s to one it does not.
+// That is one cut for every maximum flow, and its arcs are exactly the
+// saturated arcs of positive capacity crossing it.
+func (sv *Solver) Cut(g *Graph, res []int64, s int, dst []int) []int {
+	sv.bfs(g, res, s)
+	for a := 0; a < len(g.to); a += 2 {
+		if sv.level[g.to[a^1]] >= 0 && sv.level[g.to[a]] < 0 && res[a^1] > 0 {
+			dst = append(dst, a)
+		}
 	}
-	reach := make([]bool, g.N)
-	stack := []int{s}
-	reach[s] = true
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[x] {
-			if e.Cap > 0 && !reach[e.To] {
-				reach[e.To] = true
-				stack = append(stack, e.To)
+	return dst
+}
+
+// bfs labels every vertex the residual reaches from s with its
+// distance, and every other one -1.
+func (sv *Solver) bfs(g *Graph, res []int64, s int) {
+	n := g.N()
+	if cap(sv.level) < n {
+		sv.level = make([]int32, n)
+	}
+	sv.level = sv.level[:n]
+	for v := range sv.level {
+		sv.level[v] = -1
+	}
+	sv.level[s] = 0
+	sv.queue = append(sv.queue[:0], int32(s))
+	for i := 0; i < len(sv.queue); i++ {
+		v := sv.queue[i]
+		for a := g.head[v]; a >= 0; a = g.next[a] {
+			if w := g.to[a]; res[a] > 0 && sv.level[w] < 0 {
+				sv.level[w] = sv.level[v] + 1
+				sv.queue = append(sv.queue, w)
 			}
 		}
 	}
-	var cut []*Edge
-	for _, es := range g.adj {
-		for _, e := range es {
-			if e.Orig > 0 && reach[e.From] && !reach[e.To] {
-				cut = append(cut, e)
-			}
-		}
-	}
-	return v, cut
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// dfs finds one augmenting path in the level graph from v, pushing at
+// most f along it.
+func (sv *Solver) dfs(g *Graph, res []int64, v, t int32, f int64) int64 {
+	if v == t {
+		return f
 	}
-	return b
+	for ; sv.iter[v] >= 0; sv.iter[v] = g.next[sv.iter[v]] {
+		a := sv.iter[v]
+		w := g.to[a]
+		if res[a] <= 0 || sv.level[w] != sv.level[v]+1 {
+			continue
+		}
+		if d := sv.dfs(g, res, w, t, min(f, res[a])); d > 0 {
+			res[a] -= d
+			res[a^1] += d
+			return d
+		}
+	}
+	return 0
 }

@@ -35,7 +35,7 @@ func (randNet) Generate(rng *rand.Rand, size int) reflect.Value {
 func (rn randNet) build() *Graph {
 	g := NewGraph(rn.N)
 	for _, e := range rn.Edges {
-		if _, err := g.AddEdge(int(e[0]), int(e[1]), e[2], nil); err != nil {
+		if _, err := g.AddEdge(int(e[0]), int(e[1]), e[2]); err != nil {
 			panic(err)
 		}
 	}
@@ -48,26 +48,24 @@ func (rn randNet) build() *Graph {
 func TestQuickMaxFlowMinCutDuality(t *testing.T) {
 	f := func(rn randNet) bool {
 		g := rn.build()
-		v, cut := g.MinCut(0, rn.N-1)
+		v, cut := minCut(g, 0, rn.N-1)
 		if v >= InfThreshold {
 			return cut == nil
 		}
 		var capSum int64
-		cutSet := make(map[*Edge]bool)
-		for _, e := range cut {
-			capSum += e.Orig
-			cutSet[e] = true
+		cutSet := make(map[int]bool)
+		for _, a := range cut {
+			capSum += rn.Edges[a/2][2]
+			cutSet[a/2] = true
 		}
 		if capSum != v {
 			return false
 		}
 		// Reachability without cut edges.
 		adj := make([][]int, rn.N)
-		for _, es := range g.adj {
-			for _, e := range es {
-				if e.Orig > 0 && !cutSet[e] {
-					adj[e.From] = append(adj[e.From], e.To)
-				}
+		for i, e := range rn.Edges {
+			if e[2] > 0 && !cutSet[i] {
+				adj[e[0]] = append(adj[e[0]], int(e[1]))
 			}
 		}
 		seen := make([]bool, rn.N)

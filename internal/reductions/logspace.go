@@ -126,7 +126,7 @@ func (f *FPMF) MaxFlow() int64 {
 }
 
 func mustAdd(g *flow.Graph, from, to int, c int64) {
-	if _, err := g.AddEdge(from, to, c, nil); err != nil {
+	if _, err := g.AddEdge(from, to, c); err != nil {
 		panic(err)
 	}
 }

@@ -28,10 +28,29 @@
 // the min-cut value. If every protected path yields an infinite cut, t
 // is not an actual cause (its conjuncts are all redundant) and ρ_t = 0,
 // matching Theorem 3.2.
+//
+// # Components
+//
+// Without s and t the network falls apart into connected components
+// (on the genre query, one per director), and its max flow is the sum
+// of theirs. Build splits the network into these components and solves
+// each one's max flow and min cut nearest s once, at resting
+// capacities. A (t, path) solve then re-solves only the components that
+// hold the path's edges and t's edges, on a residual private to the
+// call, and adds the other components' base values. On the networks
+// Build lays out that is one component: a path lies in one, and the
+// virtual edges of a dissociated tuple are all joined through the edge
+// of the tuple of the atom that dominates it. Its contingency is the re-solved
+// components' cuts plus the others' base cuts: the cut nearest s is the
+// same for every maximum flow, so this is the contingency a solve of
+// the whole network finds. No solve writes the network, so once Build
+// returns it is read-only and may be shared by any number of
+// goroutines.
 package respflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,35 +60,83 @@ import (
 )
 
 // Network is the flow network built from a linearized query and a
-// database, reusable across target tuples.
+// database, split into its components. It is read-only once Build
+// returns: Contingency and MinContingency solve on residuals private to
+// the call, so concurrent calls need no lock.
 type Network struct {
-	g      *flow.Graph
-	source int
-	target int
-	// edgeByTuple maps an endogenous tuple to its edges. A tuple of an
+	comps []component
+	// edgesOf maps an endogenous tuple to its edges. A tuple of an
 	// endogenous atom has exactly one edge (its interface projections are
 	// determined by the tuple, since weakening never adds variables to
 	// endogenous atoms). An endogenous tuple whose atom was weakened to
 	// exogenous and dissociated stands for several "virtual" tuples —
 	// one edge per assignment of the dissociated variables.
-	edgeByTuple map[rel.TupleID][]*flow.Edge
-	// defaultCap is each endogenous tuple's resting capacity: 1 for
-	// tuples of endogenous atoms, ∞ for endogenous tuples whose atom was
-	// weakened to exogenous (sound domination guarantees minimum
-	// contingencies never need them, but they may still be the target).
-	defaultCap map[rel.TupleID]int64
+	edgesOf map[rel.TupleID][]edgeRef
 	// protectSets lists, per endogenous tuple, the deduplicated sets of
 	// endogenous tuples co-occurring with it in a valuation (the path
 	// edges that must be protected).
 	protectSets map[rel.TupleID][][]rel.TupleID
+	// finiteBase sums the finite base values of the components, and
+	// infiniteBase counts the components whose base value is infinite.
+	finiteBase   int64
+	infiniteBase int
+	vertices     int
+}
+
+// component is one connected component of the network without s and t,
+// with its own vertex numbers: 0 is s, 1 is t. An edge from s straight
+// to t is a component of its own.
+type component struct {
+	g *flow.Graph
+	// tuple[i] is the endogenous tuple edge i (arc 2i) stands for, or -1
+	// for an exogenous edge.
+	tuple []rel.TupleID
+	// base is the component's max flow at resting capacities, and cut
+	// the tuples of its min cut nearest s (nil when base is infinite).
+	base int64
+	cut  []rel.TupleID
+}
+
+// edgeRef locates an edge: its component and arc.
+type edgeRef struct {
+	comp int32
+	arc  int32
+}
+
+// edge is one edge of the whole network before the split, between
+// global vertices (0 = s, 1 = t): its resting capacity is 1 for a tuple
+// of an endogenous atom, ∞ for anything else (sound domination
+// guarantees minimum contingencies never need the endogenous tuples of
+// atoms weakened to exogenous, but they may still be the target).
+type edge struct {
+	from, to int32
+	cap      int64
+	tuple    rel.TupleID // -1 for exogenous tuples
 }
 
 // Build constructs the network for Boolean query q over db, using the
 // weakened shape ws (atom i of ws corresponds to q.Atoms[i]) and the
-// linear atom order. ws must come from shape.FromQuery(q, …) possibly
-// weakened, so that ws.VarNames maps shape variable ids to q's variable
-// names.
+// linear atom order, and solves each component's base flow. ws must
+// come from shape.FromQuery(q, …) possibly weakened, so that
+// ws.VarNames maps shape variable ids to q's variable names.
 func Build(db *rel.Database, q *rel.Query, ws *shape.Shape, order []int) (*Network, error) {
+	l, err := layOut(db, q, ws, order)
+	if err != nil {
+		return nil, err
+	}
+	return split(l), nil
+}
+
+// layout is the whole network before the split into components: its
+// vertex count, its edges and the protect-sets of every endogenous
+// tuple.
+type layout struct {
+	vertices    int
+	edges       []edge
+	protectSets map[rel.TupleID][][]rel.TupleID
+}
+
+func layOut(db *rel.Database, q *rel.Query, ws *shape.Shape, order []int) (*layout, error) {
 	if len(ws.Atoms) != len(q.Atoms) {
 		return nil, fmt.Errorf("respflow: shape has %d atoms, query has %d", len(ws.Atoms), len(q.Atoms))
 	}
@@ -106,31 +173,25 @@ func Build(db *rel.Database, q *rel.Query, ws *shape.Shape, order []int) (*Netwo
 		ifaceVars[i] = names
 	}
 
-	n := &Network{
-		g:           flow.NewGraph(2),
-		source:      0,
-		target:      1,
-		edgeByTuple: make(map[rel.TupleID][]*flow.Edge),
-		defaultCap:  make(map[rel.TupleID]int64),
-		protectSets: make(map[rel.TupleID][][]rel.TupleID),
-	}
-	nodeIDs := make(map[string]int)
-	nodeAt := func(layer int, key string) int {
+	l := &layout{vertices: 2, protectSets: make(map[rel.TupleID][][]rel.TupleID)}
+	nodeIDs := make(map[string]int32)
+	nodeAt := func(layer int, key string) int32 {
 		if layer == 0 {
-			return n.source
+			return 0
 		}
 		if layer == m {
-			return n.target
+			return 1
 		}
 		k := fmt.Sprintf("%d|%s", layer, key)
 		id, ok := nodeIDs[k]
 		if !ok {
-			id = n.g.AddVertex()
+			id = int32(l.vertices)
+			l.vertices++
 			nodeIDs[k] = id
 		}
 		return id
 	}
-	infEdges := make(map[string]bool)
+	seenEdges := make(map[string]bool)
 	protDedup := make(map[rel.TupleID]map[string]bool)
 
 	for _, val := range vals {
@@ -151,22 +212,15 @@ func Build(db *rel.Database, q *rel.Query, ws *shape.Shape, order []int) (*Netwo
 				// dissociated atom gets one virtual edge per distinct
 				// endpoint pair.
 				k := fmt.Sprintf("t%d|%d|%d", id, left, right)
-				if !infEdges[k] {
-					infEdges[k] = true
-					e, err := n.g.AddEdge(left, right, cap_, id)
-					if err != nil {
-						return nil, err
-					}
-					n.edgeByTuple[id] = append(n.edgeByTuple[id], e)
-					n.defaultCap[id] = cap_
+				if !seenEdges[k] {
+					seenEdges[k] = true
+					l.edges = append(l.edges, edge{left, right, cap_, id})
 				}
 			} else {
 				k := fmt.Sprintf("x%d|%d|%d", pos, left, right)
-				if !infEdges[k] {
-					infEdges[k] = true
-					if _, err := n.g.AddEdge(left, right, flow.Inf, nil); err != nil {
-						return nil, err
-					}
+				if !seenEdges[k] {
+					seenEdges[k] = true
+					l.edges = append(l.edges, edge{left, right, flow.Inf, -1})
 				}
 			}
 		}
@@ -181,11 +235,92 @@ func Build(db *rel.Database, q *rel.Query, ws *shape.Shape, order []int) (*Netwo
 			}
 			if !protDedup[id][key] {
 				protDedup[id][key] = true
-				n.protectSets[id] = append(n.protectSets[id], set)
+				l.protectSets[id] = append(l.protectSets[id], set)
 			}
 		}
 	}
-	return n, nil
+	return l, nil
+}
+
+// split partitions the network into its components, numbered in the
+// order their first edge was laid out, and solves each one's base flow
+// and cut.
+func split(l *layout) *Network {
+	// Union-find over the vertices other than s and t.
+	parent := make([]int32, l.vertices)
+	for v := range parent {
+		parent[v] = int32(v)
+	}
+	find := func(v int32) int32 {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
+		}
+		return v
+	}
+	for _, e := range l.edges {
+		if e.from > 1 && e.to > 1 {
+			parent[find(e.from)] = find(e.to)
+		}
+	}
+	// Number the components and each component's vertices (0 = s,
+	// 1 = t), then add the edges.
+	n := &Network{edgesOf: make(map[rel.TupleID][]edgeRef), protectSets: l.protectSets, vertices: l.vertices}
+	compOf := make([]int32, l.vertices) // root vertex → component + 1
+	local := make([]int32, l.vertices)  // vertex → its number in its component
+	for _, e := range l.edges {
+		c := int32(len(n.comps))
+		if e.from > 1 || e.to > 1 {
+			root := find(max(e.from, e.to))
+			if compOf[root] == 0 {
+				compOf[root] = c + 1
+			} else {
+				c = compOf[root] - 1
+			}
+		}
+		if c == int32(len(n.comps)) {
+			n.comps = append(n.comps, component{g: flow.NewGraph(2)})
+		}
+		cp := &n.comps[c]
+		ends := [2]int32{e.from, e.to}
+		for i, v := range ends {
+			if v > 1 {
+				if local[v] == 0 {
+					local[v] = int32(cp.g.AddVertex())
+				}
+				ends[i] = local[v]
+			}
+		}
+		arc, _ := cp.g.AddEdge(int(ends[0]), int(ends[1]), e.cap) // ends are in range by construction
+		cp.tuple = append(cp.tuple, e.tuple)
+		if e.tuple >= 0 {
+			n.edgesOf[e.tuple] = append(n.edgesOf[e.tuple], edgeRef{c, int32(arc)})
+		}
+	}
+	var sv flow.Solver
+	var arcs []int
+	for i := range n.comps {
+		cp := &n.comps[i]
+		res := cp.g.Residual(nil)
+		if cp.base = sv.MaxFlow(cp.g, res, 0, 1); cp.base >= flow.InfThreshold {
+			n.infiniteBase++
+			continue
+		}
+		n.finiteBase += cp.base
+		arcs = sv.Cut(cp.g, res, 0, arcs[:0])
+		cp.cut = cp.tuplesOf(arcs, nil)
+	}
+	return n
+}
+
+// tuplesOf appends to dst the endogenous tuples of the given arcs.
+func (c *component) tuplesOf(arcs []int, dst []rel.TupleID) []rel.TupleID {
+	for _, a := range arcs {
+		if id := c.tuple[a/2]; id >= 0 {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 func shapeVarName(ws *shape.Shape, v int) string {
@@ -242,93 +377,12 @@ func checkConsecutive(ws *shape.Shape, order []int) error {
 	return nil
 }
 
-// Clone returns an independently mutable copy of the network for use
-// by a concurrent worker: MinContingency and Contingency temporarily
-// rewrite edge capacities, so a Network must never be shared between
-// goroutines, but clones of one base network may run in parallel. The
-// graph and the per-tuple edge handles are deep-copied; protectSets and
-// defaultCap are immutable after Build and are shared. Clones preserve
-// edge order, so a clone's answers are identical to the original's.
-func (n *Network) Clone() *Network {
-	g, remap := n.g.Clone()
-	ebt := make(map[rel.TupleID][]*flow.Edge, len(n.edgeByTuple))
-	for id, es := range n.edgeByTuple {
-		cp := make([]*flow.Edge, len(es))
-		for i, e := range es {
-			cp[i] = remap[e]
-		}
-		ebt[id] = cp
-	}
-	return &Network{
-		g:           g,
-		source:      n.source,
-		target:      n.target,
-		edgeByTuple: ebt,
-		defaultCap:  n.defaultCap,
-		protectSets: n.protectSets,
-	}
-}
-
-// Reset returns the network to its post-Build resting state: every
-// tuple edge back to its default capacity and all residual flow
-// cleared. A Reset network answers exactly like a fresh Clone, so
-// ranking workers can park a network between rankings and reuse it
-// instead of cloning per call (see core's network pool).
-func (n *Network) Reset() {
-	for id, es := range n.edgeByTuple {
-		for _, e := range es {
-			n.g.SetCap(e, n.defaultCap[id])
-		}
-	}
-	n.g.Reset()
-}
-
 // MinContingency computes the minimum contingency size for tuple t.
 // ok=false means t is not an actual cause (no finite protected cut, or t
 // on no valuation).
 func (n *Network) MinContingency(t rel.TupleID) (int, bool) {
-	tEdges := n.edgeByTuple[t]
-	if len(tEdges) == 0 {
-		return 0, false
-	}
-	sets := n.protectSets[t]
-	best := int64(-1)
-	for _, set := range sets {
-		// Protect: all endo edges of the valuation become ∞; t becomes 0
-		// (removing a tuple removes all its virtual edges, so all of
-		// them are free to cut).
-		for _, id := range set {
-			for _, e := range n.edgeByTuple[id] {
-				n.g.SetCap(e, flow.Inf)
-			}
-		}
-		for _, e := range tEdges {
-			n.g.SetCap(e, 0)
-		}
-		v := n.g.MaxFlow(n.source, n.target)
-		// Restore.
-		for _, id := range set {
-			for _, e := range n.edgeByTuple[id] {
-				n.g.SetCap(e, n.defaultCap[id])
-			}
-		}
-		for _, e := range tEdges {
-			n.g.SetCap(e, n.defaultCap[t])
-		}
-		if v >= flow.InfThreshold {
-			continue
-		}
-		if best < 0 || v < best {
-			best = v
-		}
-		if best == 0 {
-			break
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return int(best), true
+	size, _ := n.solve(t, false)
+	return int(size), size >= 0
 }
 
 // Responsibility computes ρ_t = 1/(1+min|Γ|), or 0 if t is not a cause.
@@ -344,44 +398,93 @@ func (n *Network) Responsibility(t rel.TupleID) float64 {
 // tuple IDs): the tuples of a minimum protected cut. ok=false means t
 // is not an actual cause.
 func (n *Network) Contingency(t rel.TupleID) ([]rel.TupleID, bool) {
-	tEdges := n.edgeByTuple[t]
+	size, set := n.solve(t, true)
+	return set, size >= 0
+}
+
+// solve runs the protected min cut of every protect-set of t and returns
+// the least value, or -1 when none is finite; with withSet, also the
+// tuples of the nearest-s cut of the first protect-set reaching it.
+// Protecting a path sets its endogenous edges to ∞ and t's edges to 0
+// (removing a tuple removes all its virtual edges, so all of them are
+// free to cut); only the components holding those edges are re-solved.
+func (n *Network) solve(t rel.TupleID, withSet bool) (int64, []rel.TupleID) {
+	tEdges := n.edgesOf[t]
 	if len(tEdges) == 0 {
-		return nil, false
+		return -1, nil
+	}
+	var (
+		sv      flow.Solver
+		touched []int32   // the re-solved components
+		res     [][]int64 // their residuals, aligned with touched
+		arcs    []int
+		set     []rel.TupleID
+	)
+	slot := func(c int32) int {
+		for i, x := range touched {
+			if x == c {
+				return i
+			}
+		}
+		touched = append(touched, c)
+		return len(touched) - 1
 	}
 	best := int64(-1)
-	var bestSet []rel.TupleID
-	for _, set := range n.protectSets[t] {
-		for _, id := range set {
-			for _, e := range n.edgeByTuple[id] {
-				n.g.SetCap(e, flow.Inf)
+	for _, ps := range n.protectSets[t] {
+		touched = touched[:0]
+		for _, id := range ps {
+			for _, e := range n.edgesOf[id] {
+				slot(e.comp)
 			}
 		}
 		for _, e := range tEdges {
-			n.g.SetCap(e, 0)
+			slot(e.comp)
 		}
-		v, cut := n.g.MinCut(n.source, n.target)
-		for _, id := range set {
-			for _, e := range n.edgeByTuple[id] {
-				n.g.SetCap(e, n.defaultCap[id])
+		// The untouched components keep their base values.
+		v, infinite := n.finiteBase, n.infiniteBase
+		for _, c := range touched {
+			if b := n.comps[c].base; b >= flow.InfThreshold {
+				infinite--
+			} else {
+				v -= b
 			}
 		}
-		for _, e := range tEdges {
-			n.g.SetCap(e, n.defaultCap[t])
-		}
-		if v >= flow.InfThreshold {
+		if infinite > 0 || (best >= 0 && v >= best) {
 			continue
 		}
-		if best < 0 || v < best {
-			best = v
-			ids := make(map[rel.TupleID]bool)
-			for _, e := range cut {
-				if id, ok := e.Payload.(rel.TupleID); ok {
-					ids[id] = true
-				}
+		for len(res) < len(touched) {
+			res = append(res, nil)
+		}
+		for i, c := range touched {
+			res[i] = n.comps[c].g.Residual(res[i])
+		}
+		for _, id := range ps {
+			for _, e := range n.edgesOf[id] {
+				res[slot(e.comp)][e.arc] = flow.Inf
 			}
-			bestSet = bestSet[:0]
-			for id := range ids {
-				bestSet = append(bestSet, id)
+		}
+		for _, e := range tEdges {
+			res[slot(e.comp)][e.arc] = 0
+		}
+		for i, c := range touched {
+			if v += sv.MaxFlow(n.comps[c].g, res[i], 0, 1); v >= flow.InfThreshold {
+				break
+			}
+		}
+		if v >= flow.InfThreshold || (best >= 0 && v >= best) {
+			continue
+		}
+		best = v
+		if withSet {
+			set = set[:0]
+			for i, c := range touched {
+				arcs = sv.Cut(n.comps[c].g, res[i], 0, arcs[:0])
+				set = n.comps[c].tuplesOf(arcs, set)
+			}
+			for c := range n.comps {
+				if !slices.Contains(touched, int32(c)) {
+					set = append(set, n.comps[c].cut...)
+				}
 			}
 		}
 		if best == 0 {
@@ -389,13 +492,14 @@ func (n *Network) Contingency(t rel.TupleID) ([]rel.TupleID, bool) {
 		}
 	}
 	if best < 0 {
-		return nil, false
+		return -1, nil
 	}
-	sort.Slice(bestSet, func(i, j int) bool { return bestSet[i] < bestSet[j] })
-	return bestSet, true
+	slices.Sort(set)
+	return best, slices.Compact(set)
 }
 
-// Stats reports the network size (for tests and experiment output).
+// Stats reports the network size (for tests and experiment output):
+// its vertices, s and t included, and the endogenous tuples with edges.
 func (n *Network) Stats() (vertices, tupleEdges int) {
-	return n.g.N, len(n.edgeByTuple)
+	return n.vertices, len(n.edgesOf)
 }

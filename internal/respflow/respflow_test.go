@@ -230,56 +230,6 @@ func TestChainQueryRandom(t *testing.T) {
 	}
 }
 
-// TestResetMatchesFreshClone: after arbitrary Contingency
-// computations (which temporarily rewrite capacities), Reset must
-// return a network to a state answering byte-identically to a fresh
-// clone — the invariant the engine's network pool relies on.
-func TestResetMatchesFreshClone(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	q := rel.NewBoolean(
-		rel.NewAtom("R", rel.V("x"), rel.V("y")),
-		rel.NewAtom("S", rel.V("y"), rel.V("z")),
-	)
-	for trial := 0; trial < 20; trial++ {
-		db := rel.NewDatabase()
-		dom := []rel.Value{"0", "1", "2"}
-		for _, relName := range []string{"R", "S"} {
-			for i := 0; i < 6; i++ {
-				db.MustAdd(relName, rng.Intn(4) != 0, dom[rng.Intn(3)], dom[rng.Intn(3)])
-			}
-		}
-		if ok, err := rel.Holds(db, q); err != nil || !ok {
-			continue
-		}
-		base := buildNet(t, db, q)
-		reused := base.Clone()
-		// Churn the reused network, Reset, and compare every answer to
-		// a pristine clone.
-		for _, tp := range db.Tuples() {
-			if tp.Endo {
-				reused.Contingency(tp.ID)
-			}
-		}
-		reused.Reset()
-		fresh := base.Clone()
-		for _, tp := range db.Tuples() {
-			if !tp.Endo {
-				continue
-			}
-			gotSet, gotOK := reused.Contingency(tp.ID)
-			wantSet, wantOK := fresh.Contingency(tp.ID)
-			if gotOK != wantOK || len(gotSet) != len(wantSet) {
-				t.Fatalf("trial %d tuple %d: reset=(%v,%v) fresh=(%v,%v)", trial, tp.ID, gotSet, gotOK, wantSet, wantOK)
-			}
-			for i := range gotSet {
-				if gotSet[i] != wantSet[i] {
-					t.Fatalf("trial %d tuple %d: reset set %v ≠ fresh %v", trial, tp.ID, gotSet, wantSet)
-				}
-			}
-		}
-	}
-}
-
 // TestSingleAtomQuery: q :- R('a',y); the minimum contingency for
 // R(a,b) is all other matching tuples.
 func TestSingleAtomQuery(t *testing.T) {

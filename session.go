@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -207,8 +208,12 @@ func (s *localSession) open(ctx context.Context, q *Query, answer []Value, whyNo
 	if err := cctx.Err(); err != nil {
 		return nil, err
 	}
+	// The ranking keeps its own copy of the answer: a later Rank may
+	// rebuild the engine from it.
+	req := core.BatchRequest{Query: q, Answer: slices.Clone(answer), WhyNo: whyNo}
 	s.dbMu.RLock()
-	eng, err := core.NewRequestEngine(s.db, core.BatchRequest{Query: q, Answer: answer, WhyNo: whyNo})
+	eng, err := core.NewRequestEngine(s.db, req)
+	version := s.db.Version()
 	s.dbMu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -219,7 +224,7 @@ func (s *localSession) open(ctx context.Context, q *Query, answer []Value, whyNo
 	if err := cctx.Err(); err != nil {
 		return nil, err
 	}
-	return &localRanking{s: s, eng: eng}, nil
+	return &localRanking{s: s, req: req, causes: eng.Causes(), eng: eng, version: version}, nil
 }
 
 func (s *localSession) ExplainAll(ctx context.Context, reqs []BatchRequest, opts ...Option) ([]BatchResult, error) {
@@ -441,38 +446,62 @@ func (s *localSession) Close() error {
 	return nil
 }
 
+// localRanking is one opened explanation on the in-process transport.
+// Like the remote transport, whose Rank asks the server again, it ranks
+// the database as it stands when Rank is called: Causes reports the
+// causes as of WhySo/WhyNo, and a Rank after a mutation rebuilds the
+// engine first.
 type localRanking struct {
-	s   *localSession
-	eng *core.Engine
+	s      *localSession
+	req    core.BatchRequest
+	causes []TupleID
+
+	// mu guards eng and version: the engine and the database version
+	// (its count of mutations) that the engine was built at.
+	mu      sync.Mutex
+	eng     *core.Engine
+	version uint64
 }
 
-// prepare builds what the engine's ranking in mode reads from the
-// database (certificate, base flow network) under the session's read
-// lock, so a concurrent Insert or Delete cannot rewrite the database
-// under it. The solving that follows reads only engine state and runs
+// prepare returns the engine to rank in mode: the one built at open, or
+// a new one when the session's database has been mutated since. Under
+// the session's read lock it rebuilds the engine if need be and builds
+// what the ranking reads from the database (certificate, flow network),
+// so a concurrent Insert or Delete cannot rewrite the database under
+// it. The solving that follows reads only engine state and runs
 // unlocked: a RankStream consumer may mutate the session inside its
 // loop.
-func (r *localRanking) prepare(mode core.Mode) error {
+func (r *localRanking) prepare(mode core.Mode) (*core.Engine, error) {
 	r.s.dbMu.RLock()
 	defer r.s.dbMu.RUnlock()
-	return r.eng.Prepare(mode)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v := r.s.db.Version(); v != r.version {
+		eng, err := core.NewRequestEngine(r.s.db, r.req)
+		if err != nil {
+			return nil, err
+		}
+		r.eng, r.version = eng, v
+	}
+	return r.eng, r.eng.Prepare(mode)
 }
 
 func (r *localRanking) Causes(ctx context.Context) ([]TupleID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r.eng.Causes(), nil
+	return append([]TupleID(nil), r.causes...), nil
 }
 
 func (r *localRanking) Rank(ctx context.Context, opts ...Option) ([]Explanation, error) {
 	cfg := r.s.cfg.apply(opts)
 	ctx, cancel := cfg.withTimeout(ctx)
 	defer cancel()
-	if err := r.prepare(cfg.mode); err != nil {
+	eng, err := r.prepare(cfg.mode)
+	if err != nil {
 		return nil, err
 	}
-	return r.eng.Rank(ctx, cfg.mode, cfg.parallelism)
+	return eng.Rank(ctx, cfg.mode, cfg.parallelism)
 }
 
 func (r *localRanking) RankStream(ctx context.Context, opts ...Option) iter.Seq2[Explanation, error] {
@@ -480,11 +509,12 @@ func (r *localRanking) RankStream(ctx context.Context, opts ...Option) iter.Seq2
 	return func(yield func(Explanation, error) bool) {
 		ctx, cancel := cfg.withTimeout(ctx)
 		defer cancel()
-		if err := r.prepare(cfg.mode); err != nil {
+		eng, err := r.prepare(cfg.mode)
+		if err != nil {
 			yield(Explanation{}, err)
 			return
 		}
-		for ex, err := range r.eng.RankStream(ctx, cfg.mode, core.StreamOptions{
+		for ex, err := range eng.RankStream(ctx, cfg.mode, core.StreamOptions{
 			Workers:         cfg.parallelism,
 			CompletionOrder: cfg.completionOrder,
 		}) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	qc "github.com/querycause/querycause"
+	"github.com/querycause/querycause/internal/imdb"
 	"github.com/querycause/querycause/internal/server"
 )
 
@@ -74,6 +75,69 @@ func mutateChainDB() *qc.Database {
 	db.MustAdd("S", true, "a2")       // 2
 	db.MustAdd("R", true, "a5", "a2") // 3
 	return db
+}
+
+// TestRankAfterMutation: a ranking opened before a mutation and ranked
+// after it ranks the database as it stands at Rank time, on both
+// transports: Rank and a drained RankStream of the stale ranking equal
+// the Rank of one opened after the mutation. Causes keeps reporting the
+// causes as of WhySo.
+func TestRankAfterMutation(t *testing.T) {
+	q := imdb.GenreQuery()
+	mkDB := func() *qc.Database {
+		db, _ := imdb.Micro()
+		return db
+	}
+	_, keys := imdb.Micro()
+	manon := keys[imdb.KeyManon]
+	bothTransportsFresh(t, mkDB, func(t *testing.T, sess qc.Session) {
+		ctx := context.Background()
+		stale, err := sess.WhySo(ctx, q, "Musical")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := stale.Causes(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Delete(ctx, manon); err != nil {
+			t.Fatalf("Delete Manon Lescaut: %v", err)
+		}
+		got, err := stale.Rank(ctx, qc.WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var streamed []qc.Explanation
+		for ex, err := range stale.RankStream(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed = append(streamed, ex)
+		}
+		qc.SortExplanations(streamed)
+		fresh, err := sess.WhySo(ctx, q, "Musical")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Rank(ctx, qc.WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ex := range want {
+			if ex.Tuple == manon {
+				t.Fatalf("the deleted tuple %d is in the fresh ranking", manon)
+			}
+		}
+		if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+			t.Errorf("Rank after Delete ranks a stale state:\n got %s\nwant %s", g, w)
+		}
+		if s, w := mustJSON(t, streamed), mustJSON(t, want); s != w {
+			t.Errorf("RankStream after Delete ranks a stale state:\n got %s\nwant %s", s, w)
+		}
+		if after, err := stale.Causes(ctx); err != nil || mustJSON(t, after) != mustJSON(t, before) {
+			t.Errorf("Causes after Delete = %v (%v), want the causes as of WhySo %v", after, err, before)
+		}
+	})
 }
 
 // TestSessionMutate: Insert and Delete behave identically on both
