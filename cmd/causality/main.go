@@ -200,7 +200,7 @@ func run(dbPath, queryStr, answer, why, modeStr string, parallel int, serverURL 
 			if serr != nil {
 				return serr
 			}
-			fmt.Printf("  ρ=%-7.3f %v", e.Rho, db.Tuple(e.Tuple))
+			fmt.Printf("  ρ=%-7.3f %s", e.Rho, db.Render(e.Tuple))
 			if len(e.Contingency) > 0 {
 				fmt.Printf("  Γ: %s {%s}", verb, tupleList(db, e.Contingency))
 			}
@@ -221,7 +221,7 @@ func run(dbPath, queryStr, answer, why, modeStr string, parallel int, serverURL 
 	fmt.Printf("  %-7s %-12s %-16s %s\n", "ρ_t", "|Γ| min", "method", "tuple")
 	for _, c := range causes {
 		e := byTuple[c]
-		fmt.Printf("  %-7.3f %-12d %-16v %v\n", e.Rho, e.ContingencySize, e.Method, db.Tuple(e.Tuple))
+		fmt.Printf("  %-7.3f %-12d %-16v %s\n", e.Rho, e.ContingencySize, e.Method, db.Render(e.Tuple))
 		if len(e.Contingency) > 0 {
 			fmt.Printf("          Γ: %s {%s}\n", verb, tupleList(db, e.Contingency))
 		}
@@ -232,7 +232,7 @@ func run(dbPath, queryStr, answer, why, modeStr string, parallel int, serverURL 
 func tupleList(db *qc.Database, ids []qc.TupleID) string {
 	parts := make([]string, len(ids))
 	for i, id := range ids {
-		parts[i] = db.Tuple(id).String()
+		parts[i] = db.Render(id)
 	}
 	return strings.Join(parts, ", ")
 }

@@ -116,8 +116,8 @@ func evalCurve() {
 		pt.EvalNaiveMs = ms(time.Since(start))
 
 		// A fresh clone evaluates cold: the naive run above already paid
-		// for the code indexes and row adapters on db, and the planned
-		// pipeline must not inherit them.
+		// for the code indexes on db, and the planned pipeline must not
+		// inherit them.
 		dbP := imdb.Synthetic(imdb.Config{Seed: 7, Directors: nd, BurtonShare: 0.02})
 		start = time.Now()
 		plannedVals, err := ra.Valuations(dbP, bq)

@@ -128,14 +128,12 @@ func header(s string) {
 }
 
 // shortTuple renders a tuple by its most recognizable column.
-func shortTuple(t *rel.Tuple) string {
-	switch t.Rel {
-	case "Director":
-		return string(t.Args[1])
-	case "Movie":
-		return string(t.Args[1])
+func shortTuple(db *rel.Database, id rel.TupleID) string {
+	switch db.RelName(id) {
+	case "Director", "Movie":
+		return string(db.Dict().Value(db.AppendCodes(nil, id)[1]))
 	default:
-		return t.String()
+		return db.Render(id)
 	}
 }
 
@@ -173,12 +171,11 @@ func fig2() {
 	}
 	fmt.Println("  ρ_t    answer tuple                                   minimum contingency Γ")
 	for _, e := range ranked {
-		t := db.Tuple(e.Tuple)
 		var parts []string
 		for _, id := range e.Contingency {
-			parts = append(parts, shortTuple(db.Tuple(id)))
+			parts = append(parts, shortTuple(db, id))
 		}
-		fmt.Printf("  %.2f   %-45v {%s}\n", e.Rho, t, strings.Join(parts, ", "))
+		fmt.Printf("  %.2f   %-45s {%s}\n", e.Rho, db.Render(e.Tuple), strings.Join(parts, ", "))
 	}
 	fmt.Println("paper: 0.33 Sweeney Todd + the three Burtons; 0.25 the two 1930s")
 	fmt.Println("musicals; 0.20 Candide, Flight, Manon Lescaut — reproduced above;")
@@ -354,7 +351,7 @@ func fig9Rows() []fig9Row {
 	for _, old := range slices.Sorted(maps.Keys(mapping)) {
 		s2, ok2, _ := exact.MinContingencyDB(db, reductions.H2Query(), old)
 		s3, ok3, _ := exact.MinContingencyDB(db3, reductions.H3Query(), mapping[old])
-		r := fig9Row{id: old, tuple: fmt.Sprint(db.Tuple(old)), rho2: "0", rho3: "0"}
+		r := fig9Row{id: old, tuple: db.Render(old), rho2: "0", rho3: "0"}
 		if ok2 {
 			r.rho2 = fmt.Sprintf("1/%d", s2+1)
 		}
@@ -424,7 +421,7 @@ func batch() {
 			log.Fatal(r.Err)
 		}
 		top := r.Explanations[0]
-		fmt.Printf("%-14s %-8d %-8.3f %v\n", r.Request.Answer[0], len(r.Explanations), top.Rho, shortTuple(db.Tuple(top.Tuple)))
+		fmt.Printf("%-14s %-8d %-8.3f %s\n", r.Request.Answer[0], len(r.Explanations), top.Rho, shortTuple(db, top.Tuple))
 	}
 }
 

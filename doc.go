@@ -125,7 +125,7 @@
 //
 //	for e, err := range r.RankStream(ctx) {
 //	    if err != nil { ... }          // terminal: cancellation or setup
-//	    fmt.Printf("ρ=%.2f %v\n", e.Rho, db.Tuple(e.Tuple))
+//	    fmt.Printf("ρ=%.2f %s\n", e.Rho, db.Render(e.Tuple))
 //	}
 //
 // The default emission order is ascending cause order — deterministic

@@ -80,7 +80,7 @@ func main() {
 		if len(ranked) == 0 {
 			continue
 		}
-		fmt.Printf("  %-12s lineage=%-3d top: ρ=%.2f %v\n",
-			a.Values[0], len(a.Valuations), ranked[0].Rho, syn.Tuple(ranked[0].Tuple))
+		fmt.Printf("  %-12s lineage=%-3d top: ρ=%.2f %s\n",
+			a.Values[0], len(a.Valuations), ranked[0].Rho, syn.Render(ranked[0].Tuple))
 	}
 }

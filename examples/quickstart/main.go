@@ -79,14 +79,14 @@ func explainAnswer(ctx context.Context, sess qc.Session, db *qc.Database, q *qc.
 		log.Fatal(err)
 	}
 	for _, e := range ranked {
-		fmt.Printf("  ρ=%.2f  %v", e.Rho, db.Tuple(e.Tuple))
+		fmt.Printf("  ρ=%.2f  %s", e.Rho, db.Render(e.Tuple))
 		if len(e.Contingency) > 0 {
 			fmt.Print("  — counterfactual after removing ")
 			for i, id := range e.Contingency {
 				if i > 0 {
 					fmt.Print(", ")
 				}
-				fmt.Print(db.Tuple(id))
+				fmt.Print(db.Render(id))
 			}
 		} else {
 			fmt.Print("  — counterfactual as-is")

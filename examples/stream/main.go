@@ -69,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  ρ=%.2f  min|Γ|=%d  %v\n", e.Rho, e.ContingencySize, db.Tuple(e.Tuple))
+		fmt.Printf("  ρ=%.2f  min|Γ|=%d  %s\n", e.Rho, e.ContingencySize, db.Render(e.Tuple))
 		streamed = append(streamed, e)
 	}
 
@@ -83,6 +83,6 @@ func main() {
 	for i := 0; same && i < len(ranked); i++ {
 		same = streamed[i].Tuple == ranked[i].Tuple && streamed[i].Rho == ranked[i].Rho
 	}
-	fmt.Printf("\ndrained stream == blocking Rank: %v (top: ρ=%.2f %v)\n",
-		same, ranked[0].Rho, db.Tuple(ranked[0].Tuple))
+	fmt.Printf("\ndrained stream == blocking Rank: %v (top: ρ=%.2f %s)\n",
+		same, ranked[0].Rho, db.Render(ranked[0].Tuple))
 }

@@ -71,8 +71,8 @@ func main() {
 	fmt.Println("Why is bob NOT on the dean's list?")
 	fmt.Println("candidate insertions ranked by responsibility:")
 	for _, e := range ranked {
-		fmt.Printf("  ρ=%.2f  insert %v (needs %d companion insertion(s))\n",
-			e.Rho, db.Tuple(e.Tuple), e.ContingencySize)
+		fmt.Printf("  ρ=%.2f  insert %s (needs %d companion insertion(s))\n",
+			e.Rho, db.Render(e.Tuple), e.ContingencySize)
 	}
 	// Took(bob, algorithms), Took(bob, theory) and Honors(databases) are
 	// counterfactual (ρ=1): each alone creates the answer. Took(bob,

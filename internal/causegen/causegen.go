@@ -61,8 +61,7 @@ func CausePred(relName string) string { return "C_" + relName }
 // A nil entry (relation absent) means "both possible".
 type Hints map[string]struct{ HasEndo, HasExo bool }
 
-// HintsFromDB derives hints from an instance, reading the endo flags
-// directly (no row adapter).
+// HintsFromDB derives hints from an instance, reading the endo flags.
 func HintsFromDB(db *rel.Database) Hints {
 	h := make(Hints)
 	for name, r := range db.Relations {

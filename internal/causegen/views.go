@@ -1,6 +1,7 @@
 package causegen
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 
@@ -25,22 +26,23 @@ func (v DBViews) Facts(pred string) [][]rel.Value {
 	if r == nil {
 		return nil
 	}
+	switch suffix {
+	case EndoSuffix, ExoSuffix, "":
+	default:
+		return nil
+	}
+	dict := v.DB.Dict()
 	var out [][]rel.Value
-	for _, t := range r.Tuples() {
-		switch suffix {
-		case EndoSuffix:
-			if !t.Endo {
-				continue
-			}
-		case ExoSuffix:
-			if t.Endo {
-				continue
-			}
-		case "":
-		default:
-			return nil
+	vals := make([]rel.Value, 0, r.Len()*r.Arity)
+	for row, id := range r.RowIDs() {
+		if endo := v.DB.Endo(id); (suffix == EndoSuffix && !endo) || (suffix == ExoSuffix && endo) {
+			continue
 		}
-		out = append(out, t.Args)
+		n := len(vals)
+		for c := 0; c < r.Arity; c++ {
+			vals = append(vals, dict.Value(r.Col(c)[row]))
+		}
+		out = append(out, vals[n:len(vals):len(vals)])
 	}
 	return out
 }
@@ -54,21 +56,50 @@ func Causes(db *rel.Database, q *rel.Query) ([]rel.TupleID, *datalog.Program, er
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := prog.Eval(DBViews{DB: db})
+	// The evaluator looks an EDB predicate up once per rule firing, so
+	// each view is built once here rather than from the code vectors on
+	// every lookup.
+	views, edb := DBViews{DB: db}, make(datalog.MapEDB)
+	for name := range db.Relations {
+		for _, pred := range []string{name, name + EndoSuffix, name + ExoSuffix} {
+			edb[pred] = views.Facts(pred)
+		}
+	}
+	res, err := prog.Eval(edb)
 	if err != nil {
 		return nil, prog, err
 	}
+	// Facts and rows are matched on their argument codes: one map per
+	// relation from the codes of its endogenous rows to their ids.
 	idSet := make(map[rel.TupleID]bool)
+	var key []byte
 	for name, r := range db.Relations {
-		rows := res.Facts(CausePred(name))
-		if len(rows) == 0 {
+		facts := res.Facts(CausePred(name))
+		if len(facts) == 0 {
 			continue
 		}
-		for _, row := range rows {
-			for _, t := range r.Tuples() {
-				if t.Endo && rowEqual(t.Args, row) {
-					idSet[t.ID] = true
+		endo := make(map[string][]rel.TupleID)
+		for row, id := range r.RowIDs() {
+			if db.Endo(id) {
+				key = key[:0]
+				for c := 0; c < r.Arity; c++ {
+					key = binary.LittleEndian.AppendUint32(key, r.Col(c)[row])
 				}
+				endo[string(key)] = append(endo[string(key)], id)
+			}
+		}
+	nextFact:
+		for _, fact := range facts {
+			key = key[:0]
+			for _, v := range fact {
+				c, ok := db.Dict().Code(v)
+				if !ok {
+					continue nextFact
+				}
+				key = binary.LittleEndian.AppendUint32(key, c)
+			}
+			for _, id := range endo[string(key)] {
+				idSet[id] = true
 			}
 		}
 	}
@@ -78,16 +109,4 @@ func Causes(db *rel.Database, q *rel.Query) ([]rel.TupleID, *datalog.Program, er
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, prog, nil
-}
-
-func rowEqual(a, b []rel.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

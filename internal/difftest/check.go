@@ -302,7 +302,7 @@ func checkRankingShape(inst *causegen.Instance, causes []rel.TupleID, rank []cor
 			return fmt.Errorf("tuple %d ranked twice", ex.Tuple)
 		}
 		ranked[ex.Tuple] = true
-		if int(ex.Tuple) < 0 || int(ex.Tuple) >= inst.DB.NumTuples() || !inst.DB.Tuple(ex.Tuple).Endo {
+		if int(ex.Tuple) < 0 || int(ex.Tuple) >= inst.DB.NumTuples() || !inst.DB.Endo(ex.Tuple) {
 			return fmt.Errorf("ranked tuple %d is not an endogenous tuple", ex.Tuple)
 		}
 		if ex.ContingencySize < 0 || ex.Rho <= 0 {
@@ -326,7 +326,7 @@ func checkRankingShape(inst *causegen.Instance, causes []rel.TupleID, rank []cor
 				return fmt.Errorf("cause %d: duplicate %d in contingency", ex.Tuple, id)
 			}
 			seen[id] = true
-			if int(id) < 0 || int(id) >= inst.DB.NumTuples() || !inst.DB.Tuple(id).Endo {
+			if int(id) < 0 || int(id) >= inst.DB.NumTuples() || !inst.DB.Endo(id) {
 				return fmt.Errorf("cause %d: contingency member %d is not endogenous", ex.Tuple, id)
 			}
 		}

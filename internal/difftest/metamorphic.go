@@ -40,10 +40,11 @@ func checkMetamorphic(inst *causegen.Instance, baseRank []core.Explanation) (int
 	checked := 0
 
 	// Exogenous duplication: copy the first exogenous tuple.
-	for _, tp := range inst.DB.Tuples() {
-		if tp.Endo {
+	for id := rel.TupleID(0); int(id) < inst.DB.NumTuples(); id++ {
+		if inst.DB.Endo(id) {
 			continue
 		}
+		tp := inst.DB.Tuple(id)
 		mut := cloneInstance(inst)
 		mut.DB.MustAdd(tp.Rel, false, tp.Args...)
 		if err := expectSameRanking("exogenous duplication", inst, mut, baseRank); err != nil {

@@ -74,10 +74,11 @@ func Shrink(inst *causegen.Instance, failing func(*causegen.Instance) bool) *cau
 // withoutTuple rebuilds the instance minus one tuple (IDs recompact).
 func withoutTuple(inst *causegen.Instance, drop rel.TupleID) *causegen.Instance {
 	db := rel.NewDatabase()
-	for _, tp := range inst.DB.Tuples() {
-		if tp.ID == drop {
+	for id := rel.TupleID(0); int(id) < inst.DB.NumTuples(); id++ {
+		if id == drop {
 			continue
 		}
+		tp := inst.DB.Tuple(id)
 		db.MustAdd(tp.Rel, tp.Endo, tp.Args...)
 	}
 	return &causegen.Instance{Seed: inst.Seed, DB: db, Query: inst.Query, WhyNo: inst.WhyNo}

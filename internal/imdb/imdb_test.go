@@ -11,19 +11,19 @@ func TestMicroShape(t *testing.T) {
 	if len(keys) != 9 {
 		t.Fatalf("keys = %d, want 9 endogenous tuples", len(keys))
 	}
-	if db.Relation("Director") == nil || len(db.Relation("Director").Tuples()) != 3 {
+	if db.Relation("Director") == nil || db.Relation("Director").Len() != 3 {
 		t.Fatal("want 3 directors")
 	}
-	if len(db.Relation("Movie").Tuples()) != 6 {
+	if db.Relation("Movie").Len() != 6 {
 		t.Fatal("want 6 movies")
 	}
-	for _, tup := range db.Relation("MovieDirectors").Tuples() {
-		if tup.Endo {
+	for _, id := range db.Relation("MovieDirectors").RowIDs() {
+		if db.Endo(id) {
 			t.Fatal("MovieDirectors must be exogenous")
 		}
 	}
-	for _, tup := range db.Relation("Genre").Tuples() {
-		if tup.Endo {
+	for _, id := range db.Relation("Genre").RowIDs() {
+		if db.Endo(id) {
 			t.Fatal("Genre must be exogenous")
 		}
 	}

@@ -13,7 +13,8 @@ func mustIDs(t *testing.T, db *rel.Database, relName string, args ...rel.Value) 
 		t.Fatalf("no relation %s", relName)
 	}
 outer:
-	for _, tup := range r.Tuples() {
+	for _, id := range r.RowIDs() {
+		tup := db.Tuple(id)
 		for i, a := range args {
 			if tup.Args[i] != a {
 				continue outer

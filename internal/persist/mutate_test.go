@@ -86,7 +86,7 @@ func TestDecodeAcceptsV1(t *testing.T) {
 }
 
 // TestSnapshotOfMutatedDatabase pins SetDatabase, which reads the code
-// vectors, to the row-adapter reading of the same database: relation
+// vectors, to the Tuples reading of the same database: relation
 // table in first-appearance order, and per tuple its relation, endo
 // flag, deleted flag and argument codes, husks included. Snapshotting
 // the restored database then encodes byte-identically.
@@ -122,10 +122,10 @@ func TestSnapshotOfMutatedDatabase(t *testing.T) {
 		tuples = append(tuples, Tuple{Rel: ri, Endo: tp.Endo, Deleted: !db.Live(tp.ID), Args: args})
 	}
 	if !reflect.DeepEqual(snap.Relations, rels) {
-		t.Fatalf("relations: snapshot %v, adapter %v", snap.Relations, rels)
+		t.Fatalf("relations: snapshot %v, Tuples %v", snap.Relations, rels)
 	}
 	if !reflect.DeepEqual(snap.Tuples, tuples) {
-		t.Fatalf("tuples:\n  snapshot %+v\n  adapter  %+v", snap.Tuples, tuples)
+		t.Fatalf("tuples:\n  snapshot %+v\n  Tuples   %+v", snap.Tuples, tuples)
 	}
 
 	data, err := Encode(snap)

@@ -24,9 +24,8 @@ func H2ToH3(db *rel.Database) (*rel.Database, map[rel.TupleID]rel.TupleID, error
 		if r == nil {
 			return nil, nil, fmt.Errorf("reductions: h2 instance missing relation %s", name)
 		}
-		for _, tup := range r.Tuples() {
-			nid := out.MustAdd(unaryOf[name], tup.Endo, valOf(tup.ID))
-			mapping[tup.ID] = nid
+		for _, id := range r.RowIDs() {
+			mapping[id] = out.MustAdd(unaryOf[name], db.Endo(id), valOf(id))
 		}
 	}
 	q2 := rel.NewBoolean(

@@ -91,9 +91,6 @@ func TestIndexesMaintainedUnderMutation(t *testing.T) {
 			}
 			checkIndexes(t, db, fmt.Sprintf("seed %d step %d", seed, step))
 		}
-		if db.adapters.Load() != nil {
-			t.Fatalf("seed %d: maintaining indexes built the row adapter", seed)
-		}
 	}
 }
 
@@ -116,8 +113,10 @@ func TestDeleteKeepsIndexBucketsCompact(t *testing.T) {
 }
 
 // TestRenderWithoutAdapter: Render, RelName, AppendCodes and NumEndo
-// answer from the code vectors — equal to the adapter forms for live
-// and deleted tuples alike — without materializing the adapter view.
+// answer straight from the code vectors, equal to the materialized
+// Tuple forms for live and deleted tuples alike. (The name dates from
+// the cached row adapter these readers used to bypass; the code vectors
+// are now the only stored form.)
 func TestRenderWithoutAdapter(t *testing.T) {
 	db := NewDatabase()
 	db.MustAdd("Movie", true, "526338", "Sweeney Todd")
@@ -144,9 +143,6 @@ func TestRenderWithoutAdapter(t *testing.T) {
 		got[i] = forms{db.Render(id), db.RelName(id), db.AppendCodes(nil, id)}
 	}
 	numEndo := db.NumEndo()
-	if db.adapters.Load() != nil {
-		t.Fatal("Render/RelName/AppendCodes/NumEndo materialized the adapter view")
-	}
 
 	wantEndo := 0
 	for i, g := range got {
@@ -158,13 +154,13 @@ func TestRenderWithoutAdapter(t *testing.T) {
 		}
 		want := forms{tup.String(), tup.Rel, codes}
 		if !reflect.DeepEqual(g, want) {
-			t.Errorf("tuple %d (live=%v): got %+v, adapter says %+v", i, db.Live(TupleID(i)), g, want)
+			t.Errorf("tuple %d (live=%v): got %+v, Tuple says %+v", i, db.Live(TupleID(i)), g, want)
 		}
 		if tup.Endo {
 			wantEndo++
 		}
 	}
 	if numEndo != wantEndo {
-		t.Errorf("NumEndo = %d, adapter counts %d", numEndo, wantEndo)
+		t.Errorf("NumEndo = %d, Tuple counts %d", numEndo, wantEndo)
 	}
 }

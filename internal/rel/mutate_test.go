@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -46,11 +47,8 @@ func TestDeleteBasics(t *testing.T) {
 		t.Fatalf("R.Len = %d, want 4", r.Len())
 	}
 	for row, id := range r.RowIDs() {
-		if got := db.Tuple(id); got.Rel != "R" {
-			t.Fatalf("row %d id %d resolves to %v", row, id, got)
-		}
-		if got := r.Tuples()[row]; got.ID != id {
-			t.Fatalf("row view %d has ID %d, want %d", row, got.ID, id)
+		if got := db.Tuple(id); got.Rel != "R" || got.ID != id {
+			t.Fatalf("row %d id %d resolves to %v (ID %d)", row, id, got, got.ID)
 		}
 	}
 	// Shifted tuples keep their columnar data intact.
@@ -223,23 +221,126 @@ func TestCloneCarriesDeletions(t *testing.T) {
 	}
 }
 
+// TestDeleteKeepsAdapterPointers: after a Delete the tuple's ID still
+// resolves, to the exogenous husk of its row (same ID, relation and
+// arguments), while a copy taken before the delete keeps what it read;
+// adds after a delete keep extending the ID space. (The name dates from
+// the cached row adapter, whose *Tuple a Delete used to reuse; Tuple and
+// Tuples now build fresh copies.)
 func TestDeleteKeepsAdapterPointers(t *testing.T) {
 	db := example22DB(t)
 	before := db.Tuples()
 	p := before[2]
+	kept := *p
 	if err := db.Delete(2); err != nil {
 		t.Fatal(err)
 	}
-	after := db.Tuples()
-	if after[2] != p {
-		t.Error("delete replaced the adapter pointer for the husk")
+	husk := db.Tuples()[2]
+	if husk.ID != 2 || husk.Rel != p.Rel || !reflect.DeepEqual(husk.Args, p.Args) {
+		t.Errorf("husk = %+v, want the row of %+v", husk, p)
 	}
-	if p.Endo {
-		t.Error("husk adapter still flagged endogenous")
+	if husk.Endo {
+		t.Error("husk still flagged endogenous")
 	}
-	// Adding after a delete keeps extending the same view.
+	if !reflect.DeepEqual(*p, kept) || !p.Endo {
+		t.Errorf("delete changed a copy taken before it: %+v", p)
+	}
+	// Adding after a delete keeps extending the same ID space.
+	n := db.NumTuples()
 	id := db.MustAdd("R", true, "z1", "z2")
-	if got := db.Tuple(id); got.Args[0] != "z1" {
-		t.Fatalf("post-delete add = %v", got)
+	if got := db.Tuple(id); int(id) != n || got.Args[0] != "z1" {
+		t.Fatalf("post-delete add = %v (id %d, want %d)", got, id, n)
+	}
+	if got := db.Render(2); got != husk.String() {
+		t.Errorf("husk renders %q after the add, want %q", got, husk.String())
+	}
+}
+
+// TestTupleRenderAgree applies seeded random inserts, deletes and endo
+// flips, then checks that every tuple ID, live or deleted, reads the
+// same through Tuple, Tuples, Render, RelName, AppendCodes and Endo (a
+// deleted one as the exogenous husk of its last row), on the database
+// and again on its clone.
+func TestTupleRenderAgree(t *testing.T) {
+	vals := []Value{"a", "b", "a, b", "Sweeney Todd", ""}
+	arity := map[string]int{"R": 2, "S": 1, "T": 3}
+	names := []string{"R", "S", "T"}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := NewDatabase()
+		husks := make(map[TupleID]string)
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3 && db.NumLive() > 0:
+				id := TupleID(rng.Intn(db.NumTuples()))
+				for !db.Live(id) {
+					id = TupleID(rng.Intn(db.NumTuples()))
+				}
+				husk := *db.Tuple(id)
+				husk.Endo = false
+				husks[id] = husk.String()
+				if err := db.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			case op < 4 && db.NumTuples() > 0:
+				db.SetEndo(TupleID(rng.Intn(db.NumTuples())), rng.Intn(2) == 0)
+			default:
+				name := names[rng.Intn(len(names))]
+				args := make([]Value, arity[name])
+				for i := range args {
+					args[i] = vals[rng.Intn(len(vals))]
+				}
+				db.MustAdd(name, rng.Intn(2) == 0, args...)
+			}
+		}
+		checkTupleForms(t, db, husks, fmt.Sprintf("seed %d", seed))
+		checkTupleForms(t, db.Clone(), husks, fmt.Sprintf("seed %d clone", seed))
+	}
+}
+
+func checkTupleForms(t *testing.T, db *Database, husks map[TupleID]string, what string) {
+	t.Helper()
+	all := db.Tuples()
+	if len(all) != db.NumTuples() {
+		t.Fatalf("%s: Tuples has %d entries for %d ids", what, len(all), db.NumTuples())
+	}
+	numEndo := 0
+	for i := range all {
+		id := TupleID(i)
+		tup := db.Tuple(id)
+		rendered := db.Render(id)
+		if !reflect.DeepEqual(tup, all[i]) || tup.ID != id {
+			t.Fatalf("%s: Tuple(%d) = %+v, Tuples()[%d] = %+v", what, id, tup, i, all[i])
+		}
+		if rendered != tup.String() {
+			t.Fatalf("%s: Render(%d) = %q, Tuple(%d).String() = %q", what, id, rendered, id, tup.String())
+		}
+		if tup.Endo != db.Endo(id) || tup.Rel != db.RelName(id) {
+			t.Fatalf("%s: tuple %d: Tuple says %s endo=%v, database says %s endo=%v", what, id, tup.Rel, tup.Endo, db.RelName(id), db.Endo(id))
+		}
+		var codes []uint32
+		for _, v := range tup.Args {
+			c, _ := db.Dict().Code(v)
+			codes = append(codes, c)
+		}
+		if got := db.AppendCodes(nil, id); !reflect.DeepEqual(got, codes) {
+			t.Fatalf("%s: AppendCodes(%d) = %v, Tuple's args intern to %v", what, id, got, codes)
+		}
+		if want, dead := husks[id]; dead != !db.Live(id) {
+			t.Fatalf("%s: tuple %d: deleted=%v but Live=%v", what, id, dead, db.Live(id))
+		} else if dead && rendered != want {
+			t.Fatalf("%s: husk %d renders %q, want %q", what, id, rendered, want)
+		}
+		if tup.Endo {
+			numEndo++
+		}
+		// A returned tuple is a copy: changing it leaves the database alone.
+		tup.Endo, tup.Rel = !tup.Endo, "Changed"
+		if got := db.Render(id); got != rendered {
+			t.Fatalf("%s: editing Tuple(%d) changed Render to %q", what, id, got)
+		}
+	}
+	if numEndo != db.NumEndo() {
+		t.Fatalf("%s: NumEndo = %d, Tuple counts %d", what, db.NumEndo(), numEndo)
 	}
 }

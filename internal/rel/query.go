@@ -242,8 +242,9 @@ func Valuations(db *Database, q *Query) ([]Valuation, error) {
 
 // EvalNaive enumerates all valuations with the naive reference
 // evaluator: a greedy bound-variable join order probing the code index
-// of one bound column, one backtracking search over the tuple adapters. It is
-// the permanently available baseline the planned evaluator is
+// of one bound column, one backtracking search matching atom terms
+// against the values of each candidate row's codes. It is the
+// permanently available baseline the planned evaluator is
 // differential-tested against.
 func EvalNaive(db *Database, q *Query) ([]Valuation, error) {
 	for _, a := range q.Atoms {
@@ -274,14 +275,12 @@ func EvalNaive(db *Database, q *Query) ([]Valuation, error) {
 		used[ai] = true
 		a := q.Atoms[ai]
 		r := db.Relation(a.Pred)
-		rows := r.Tuples()
-		for _, ti := range candidates(r, a, binding) {
-			tup := rows[ti]
-			newVars, ok := matchAtom(a, tup, binding)
+		for _, row := range candidates(r, a, binding) {
+			newVars, ok := matchAtom(a, r, row, binding)
 			if !ok {
 				continue
 			}
-			witness[ai] = tup.ID
+			witness[ai] = r.rowIDs[row]
 			rec(depth + 1)
 			for _, v := range newVars {
 				delete(binding, v)
@@ -344,12 +343,13 @@ func candidates(r *Relation, a Atom, binding map[string]Value) []int32 {
 	return r.ensureIndex(col)[code]
 }
 
-// matchAtom attempts to unify atom a with tuple tup under binding. On
-// success it extends binding in place and returns the newly bound
-// variables (for backtracking).
-func matchAtom(a Atom, tup *Tuple, binding map[string]Value) (newVars []string, ok bool) {
+// matchAtom attempts to unify atom a with the given row of r under
+// binding. On success it extends binding in place and returns the newly
+// bound variables (for backtracking).
+func matchAtom(a Atom, r *Relation, row int32, binding map[string]Value) (newVars []string, ok bool) {
+	vals := r.db.dict.vals
 	for i, t := range a.Terms {
-		got := tup.Args[i]
+		got := vals[r.cols[i][row]]
 		if !t.IsVar {
 			if t.Const != got {
 				return unwind(binding, newVars)

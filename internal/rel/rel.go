@@ -24,12 +24,10 @@
 // streaming evaluator in internal/ra joins by probing it instead of
 // hashing whole relations per evaluation.
 //
-// The classic row view ([]*Tuple) is materialized lazily by Tuples and
-// Database.Tuple — a thin adapter over the columnar plane, paid for only
-// by callers that need it (the naive evaluator, the differential
-// harness, command-line display). Everything on the explanation
-// server's path reads the code vectors instead: Render, RelName,
-// AppendCodes, Endo and NumEndo answer per tuple without building it.
+// The code vectors are the only stored form of a tuple. Render, RelName,
+// AppendCodes, Endo and NumEndo answer per tuple straight off them;
+// Database.Tuple and Database.Tuples build fresh Tuple values on each
+// call for callers that want a row as a struct.
 //
 // # Evaluation backends
 //
@@ -45,9 +43,10 @@
 //
 // Databases are mutable: Add appends tuples and Delete removes them.
 // Tuple IDs are never reused — Delete leaves a gap in the ID space and
-// retains the dead tuple's rendered form, so Tuple(id) keeps working
-// for historical IDs (the husk is exogenous and excluded from
-// evaluation). Live reports whether an ID still denotes a stored row.
+// keeps the dead tuple's relation name and argument codes, so Tuple(id)
+// and Render(id) keep working for historical IDs (the husk is exogenous
+// and excluded from evaluation). Live reports whether an ID still
+// denotes a stored row.
 // Version counts mutations (adds + deletes); replaying the same
 // mutation sequence into a fresh database reproduces the dictionary,
 // the column vectors, and the version bit-for-bit, which is what the
@@ -73,10 +72,10 @@ type Value string
 // in insertion order, and stable for the lifetime of the database.
 type TupleID int
 
-// Tuple is a row of a relation together with its causal status. Tuples
-// handed out by Database.Tuple / Tuples are adapters materialized from
-// the columnar store; callers must treat them as read-only and use
-// Database.SetEndo to flip causal status.
+// Tuple is a row of a relation together with its causal status.
+// Database.Tuple and Database.Tuples return copies built from the code
+// vectors: a copy is the caller's to keep and does not follow a later
+// SetEndo or Delete; ask the database again for the current state.
 type Tuple struct {
 	ID   TupleID
 	Rel  string
@@ -86,16 +85,31 @@ type Tuple struct {
 }
 
 // String renders the tuple as R(a,b,…) with an n/x superscript marker.
-func (t Tuple) String() string {
-	parts := make([]string, len(t.Args))
-	for i, a := range t.Args {
-		parts[i] = string(a)
+func (t Tuple) String() string { return formatTuple(t.Rel, t.Endo, t.Args) }
+
+// formatTuple renders a tuple as R^n(a,b,…), or R^x(…) when exogenous:
+// the one rendered form, shared by Tuple.String and Database.Render.
+func formatTuple(rel string, endo bool, args []Value) string {
+	n := len(rel) + len("^n()") + len(args)
+	for _, a := range args {
+		n += len(a)
 	}
-	tag := "x"
-	if t.Endo {
-		tag = "n"
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(rel)
+	if endo {
+		b.WriteString("^n(")
+	} else {
+		b.WriteString("^x(")
 	}
-	return fmt.Sprintf("%s^%s(%s)", t.Rel, tag, strings.Join(parts, ","))
+	for i, a := range args {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(string(a))
+	}
+	b.WriteByte(')')
+	return b.String()
 }
 
 // Dict interns constants into dense uint32 codes, once per database.
@@ -151,9 +165,6 @@ type Relation struct {
 	// the read path; once built, Add and Delete maintain it in place.
 	index   atomic.Pointer[[]map[uint32][]int32]
 	indexMu sync.Mutex
-
-	// rows caches the lazily materialized adapter view (see Tuples).
-	rows atomic.Pointer[[]*Tuple]
 }
 
 // Len returns the number of rows.
@@ -178,25 +189,6 @@ func (r *Relation) HasEndo() bool {
 		}
 	}
 	return false
-}
-
-// Tuples materializes the row view of the relation: the i-th entry is
-// the adapter for row i. The slice and the tuples are shared and cached;
-// callers must not modify them. The pointers are identical to those
-// returned by Database.Tuple, so SetEndo updates are visible through
-// either view.
-func (r *Relation) Tuples() []*Tuple {
-	if rows := r.rows.Load(); rows != nil {
-		return *rows
-	}
-	all := r.db.adapterRows()
-	rows := make([]*Tuple, len(r.rowIDs))
-	for i, id := range r.rowIDs {
-		rows[i] = all[id]
-	}
-	// Racing builders produce identical views; last store wins.
-	r.rows.Store(&rows)
-	return rows
 }
 
 // CodeIndex returns the code index on the given column: code → the
@@ -296,20 +288,21 @@ type Database struct {
 	refs []rowRef // TupleID → (relation, row); rel==nil marks a deleted tuple
 	endo []bool   // TupleID → endogenous
 
-	// dead retains the rendered form of deleted tuples keyed by their
+	// dead retains what a deleted tuple leaves behind, keyed by its
 	// (never reused) ID, so Tuple(id) still answers for historical IDs.
-	dead map[TupleID]*Tuple
-
-	// adapters caches the lazily materialized []*Tuple row view,
-	// published copy-on-write under adapterMu (same discipline as the
-	// relation indexes).
-	adapters  atomic.Pointer[[]*Tuple]
-	adapterMu sync.Mutex
+	dead map[TupleID]husk
 }
 
 type rowRef struct {
 	rel *Relation
 	row int32
+}
+
+// husk is a deleted tuple's relation name and argument codes. The
+// dictionary never shrinks, so the codes stay valid.
+type husk struct {
+	rel   string
+	codes []uint32
 }
 
 // NewDatabase returns an empty database.
@@ -343,19 +336,8 @@ func (db *Database) Add(rel string, endo bool, args ...Value) (TupleID, error) {
 	}
 	r.rowIDs = append(r.rowIDs, id)
 	r.indexAppend()
-	r.rows.Store(nil) // invalidate the relation's adapter view
 	db.refs = append(db.refs, rowRef{rel: r, row: int32(r.Len() - 1)})
 	db.endo = append(db.endo, endo)
-	// Extend a materialized adapter view in place so previously handed
-	// out *Tuple pointers stay the live adapters for their IDs.
-	if ad := db.adapters.Load(); ad != nil {
-		db.adapterMu.Lock()
-		if cur := db.adapters.Load(); cur != nil && len(*cur) == int(id) {
-			next := append(*cur, db.materializeOne(id))
-			db.adapters.Store(&next)
-		}
-		db.adapterMu.Unlock()
-	}
 	return id, nil
 }
 
@@ -383,20 +365,12 @@ func (db *Database) Delete(id TupleID) error {
 	if ref.rel == nil {
 		return fmt.Errorf("rel: delete: tuple %d already deleted", id)
 	}
-	// Capture the adapter before the row disappears so Tuple(id) keeps
-	// rendering the dead tuple. Reuse the published adapter pointer when
-	// one exists so previously handed-out *Tuple stay the live view.
-	var husk *Tuple
-	if ad := db.adapters.Load(); ad != nil && int(id) < len(*ad) {
-		husk = (*ad)[id]
-	} else {
-		husk = db.materializeOne(id)
-	}
-	husk.Endo = false
+	// Keep the row's codes before it disappears so Tuple(id) keeps
+	// rendering the dead tuple.
 	if db.dead == nil {
-		db.dead = make(map[TupleID]*Tuple)
+		db.dead = make(map[TupleID]husk)
 	}
-	db.dead[id] = husk
+	db.dead[id] = husk{rel: ref.rel.Name, codes: db.AppendCodes(nil, id)}
 
 	r, row := ref.rel, int(ref.row)
 	r.indexRemove(row)
@@ -407,7 +381,6 @@ func (db *Database) Delete(id TupleID) error {
 	for i := row; i < len(r.rowIDs); i++ {
 		db.refs[r.rowIDs[i]].row = int32(i)
 	}
-	r.rows.Store(nil)
 	db.refs[id] = rowRef{}
 	db.endo[id] = false
 	return nil
@@ -426,53 +399,48 @@ func (db *Database) NumLive() int { return len(db.refs) - len(db.dead) }
 // fresh database lands on the same version with byte-identical state.
 func (db *Database) Version() uint64 { return uint64(len(db.refs) + len(db.dead)) }
 
-func (db *Database) materializeOne(id TupleID) *Tuple {
-	if t, ok := db.dead[id]; ok {
-		return t
-	}
-	ref := db.refs[id]
-	args := make([]Value, ref.rel.Arity)
-	for c := range args {
-		args[c] = db.dict.vals[ref.rel.cols[c][ref.row]]
-	}
-	return &Tuple{ID: id, Rel: ref.rel.Name, Args: args, Endo: db.endo[id]}
+// materializeOne builds the identified tuple, appending its arguments
+// to args.
+func (db *Database) materializeOne(t *Tuple, id TupleID, args []Value) []Value {
+	n := len(args)
+	args = db.appendArgs(args, id)
+	*t = Tuple{ID: id, Rel: db.RelName(id), Args: args[n:len(args):len(args)], Endo: db.endo[id]}
+	return args
 }
 
-// adapterRows materializes (once) the full []*Tuple adapter view.
-func (db *Database) adapterRows() []*Tuple {
-	if ad := db.adapters.Load(); ad != nil && len(*ad) == len(db.refs) {
-		return *ad
+// appendArgs appends the argument values of the identified tuple, live
+// or deleted, to dst.
+func (db *Database) appendArgs(dst []Value, id TupleID) []Value {
+	if ref := db.refs[id]; ref.rel != nil {
+		for _, col := range ref.rel.cols {
+			dst = append(dst, db.dict.vals[col[ref.row]])
+		}
+		return dst
 	}
-	db.adapterMu.Lock()
-	defer db.adapterMu.Unlock()
-	if ad := db.adapters.Load(); ad != nil && len(*ad) == len(db.refs) {
-		return *ad
+	for _, c := range db.dead[id].codes {
+		dst = append(dst, db.dict.vals[c])
 	}
-	out := make([]*Tuple, len(db.refs))
-	for id := range db.refs {
-		out[id] = db.materializeOne(TupleID(id))
-	}
-	db.adapters.Store(&out)
-	return out
+	return dst
 }
 
-// Tuple returns the tuple with the given ID, including the exogenous
-// husk of a deleted one (check Live to distinguish). It panics on
-// out-of-range IDs, which indicate a bug in the caller.
+// Tuple returns a fresh copy of the tuple with the given ID, including
+// the exogenous husk of a deleted one (check Live to distinguish). It
+// panics on out-of-range IDs, which indicate a bug in the caller.
 func (db *Database) Tuple(id TupleID) *Tuple {
 	db.checkID(id)
-	return db.adapterRows()[id]
+	t := new(Tuple)
+	db.materializeOne(t, id, nil)
+	return t
 }
 
 // RelName returns the relation name of the identified tuple, live or
-// deleted, without materializing the adapter view. It panics on
-// out-of-range IDs, like Tuple.
+// deleted. It panics on out-of-range IDs, like Tuple.
 func (db *Database) RelName(id TupleID) string {
 	db.checkID(id)
-	if t, ok := db.dead[id]; ok {
-		return t.Rel
+	if ref := db.refs[id]; ref.rel != nil {
+		return ref.rel.Name
 	}
-	return db.refs[id].rel.Name
+	return db.dead[id].rel
 }
 
 // AppendCodes appends the interned argument codes of the identified
@@ -480,44 +448,23 @@ func (db *Database) RelName(id TupleID) string {
 // Tuple.
 func (db *Database) AppendCodes(dst []uint32, id TupleID) []uint32 {
 	db.checkID(id)
-	if t, ok := db.dead[id]; ok {
-		for _, v := range t.Args {
-			dst = append(dst, db.dict.codes[v]) // a husk's values stay interned
+	if ref := db.refs[id]; ref.rel != nil {
+		for _, col := range ref.rel.cols {
+			dst = append(dst, col[ref.row])
 		}
 		return dst
 	}
-	ref := db.refs[id]
-	for _, col := range ref.rel.cols {
-		dst = append(dst, col[ref.row])
-	}
-	return dst
+	return append(dst, db.dead[id].codes...)
 }
 
 // Render returns the rendered form of the identified tuple, equal to
 // Tuple(id).String() (a deleted tuple renders as its exogenous husk),
-// read straight off the code vectors without materializing the adapter
-// view. It panics on out-of-range IDs, like Tuple.
+// read straight off the code vectors. It panics on out-of-range IDs,
+// like Tuple.
 func (db *Database) Render(id TupleID) string {
 	db.checkID(id)
-	if t, ok := db.dead[id]; ok {
-		return t.String()
-	}
-	ref := db.refs[id]
-	var b strings.Builder
-	b.WriteString(ref.rel.Name)
-	if db.endo[id] {
-		b.WriteString("^n(")
-	} else {
-		b.WriteString("^x(")
-	}
-	for c, col := range ref.rel.cols {
-		if c > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(string(db.dict.vals[col[ref.row]]))
-	}
-	b.WriteByte(')')
-	return b.String()
+	var buf [8]Value // the arguments stay on the stack up to arity 8
+	return formatTuple(db.RelName(id), db.endo[id], db.appendArgs(buf[:0], id))
 }
 
 func (db *Database) checkID(id TupleID) {
@@ -530,13 +477,22 @@ func (db *Database) checkID(id TupleID) {
 // added, deleted or not. See NumLive for the stored count.
 func (db *Database) NumTuples() int { return len(db.refs) }
 
-// Tuples returns all tuples in insertion order, indexed by TupleID.
-// Deleted tuples appear as their exogenous husks (Live reports false
-// for them). The slice is shared; callers must not modify it.
-func (db *Database) Tuples() []*Tuple { return db.adapterRows() }
+// Tuples returns fresh copies of all tuples in insertion order, indexed
+// by TupleID. Deleted tuples appear as their exogenous husks (Live
+// reports false for them).
+func (db *Database) Tuples() []*Tuple {
+	rows := make([]Tuple, len(db.refs))
+	out := make([]*Tuple, len(db.refs))
+	var args []Value
+	for id := range rows {
+		args = db.materializeOne(&rows[id], TupleID(id), args)
+		out[id] = &rows[id]
+	}
+	return out
+}
 
 // Endo reports whether the identified tuple is endogenous, straight off
-// the columnar flag vector (no adapter materialization).
+// the columnar flag vector.
 func (db *Database) Endo(id TupleID) bool { return db.endo[id] }
 
 // NumEndo returns the number of endogenous tuples, straight off the
@@ -569,9 +525,6 @@ func (db *Database) SetEndo(id TupleID, endo bool) {
 		return
 	}
 	db.endo[id] = endo
-	if ad := db.adapters.Load(); ad != nil && int(id) < len(*ad) {
-		(*ad)[id].Endo = endo
-	}
 }
 
 // Clone returns a deep copy of the database. Tuple IDs are preserved.
@@ -584,11 +537,11 @@ func (db *Database) Clone() *Database {
 	}
 	out.refs = make([]rowRef, len(db.refs))
 	out.endo = append([]bool(nil), db.endo...)
-	for id, t := range db.dead {
+	for id, h := range db.dead {
 		if out.dead == nil {
-			out.dead = make(map[TupleID]*Tuple, len(db.dead))
+			out.dead = make(map[TupleID]husk, len(db.dead))
 		}
-		out.dead[id] = &Tuple{ID: id, Rel: t.Rel, Args: append([]Value(nil), t.Args...)}
+		out.dead[id] = husk{rel: h.rel, codes: append([]uint32(nil), h.codes...)}
 	}
 	for name, r := range db.Relations {
 		nr := &Relation{Name: name, Arity: r.Arity, db: out, cols: make([][]uint32, r.Arity)}
@@ -625,8 +578,8 @@ func (db *Database) String() string {
 	for _, n := range names {
 		r := db.Relations[n]
 		fmt.Fprintf(&b, "%s/%d:\n", n, r.Arity)
-		for _, t := range r.Tuples() {
-			fmt.Fprintf(&b, "  %s\n", t)
+		for _, id := range r.rowIDs {
+			fmt.Fprintf(&b, "  %s\n", db.Render(id))
 		}
 	}
 	return b.String()

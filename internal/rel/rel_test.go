@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -360,7 +361,7 @@ func TestConcurrentCodeIndexBuild(t *testing.T) {
 
 // TestConcurrentEvaluationSharedDB: two engines evaluating over the
 // same frozen database concurrently (the explanation server's session
-// pattern) must agree and not race on index or adapter construction.
+// pattern) must agree and not race on index construction.
 func TestConcurrentEvaluationSharedDB(t *testing.T) {
 	db := NewDatabase()
 	for i := 0; i < 50; i++ {
@@ -391,4 +392,57 @@ func TestConcurrentEvaluationSharedDB(t *testing.T) {
 			t.Fatalf("goroutine %d found %d valuations, goroutine 0 found %d", g, counts[g], counts[0])
 		}
 	}
+}
+
+// TestConcurrentReaders: Tuple, Tuples, Render, EvalNaive and the first
+// probe of each code index run at once on one database, which must
+// answer every goroutine as it answers a lone reader.
+func TestConcurrentReaders(t *testing.T) {
+	db := NewDatabase()
+	for i := 0; i < 50; i++ {
+		db.MustAdd("R", i%3 == 0, Value(fmt.Sprintf("x%d", i%7)), Value(fmt.Sprintf("y%d", i%11)))
+		db.MustAdd("S", i%2 == 0, Value(fmt.Sprintf("y%d", i%11)), Value(fmt.Sprintf("z%d", i%5)))
+	}
+	if err := db.Delete(4); err != nil {
+		t.Fatal(err)
+	}
+	q := NewBoolean(NewAtom("R", V("x"), V("y")), NewAtom("S", V("y"), V("z")))
+	// The reference answers come from a clone, so the shared database's
+	// code indexes are still unbuilt when the goroutines start.
+	ref := db.Clone()
+	wantVals, err := EvalNaive(ref, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRender := make([]string, ref.NumTuples())
+	for i := range wantRender {
+		wantRender[i] = ref.Render(TupleID(i))
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, name := range []string{"R", "S"} {
+				r := db.Relation(name)
+				if idx := r.CodeIndex(g % r.Arity); len(idx) == 0 {
+					t.Errorf("goroutine %d: %s column %d index is empty", g, name, g%r.Arity)
+				}
+			}
+			vals, err := EvalNaive(db, q)
+			if err != nil || !reflect.DeepEqual(vals, wantVals) {
+				t.Errorf("goroutine %d: EvalNaive gave %d valuations (%v), want %d", g, len(vals), err, len(wantVals))
+			}
+			all := db.Tuples()
+			for i, want := range wantRender {
+				id := TupleID(i)
+				if db.Render(id) != want || db.Tuple(id).String() != want || all[i].String() != want {
+					t.Errorf("goroutine %d: tuple %d does not render %q", g, id, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

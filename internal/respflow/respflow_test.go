@@ -16,15 +16,7 @@ import (
 func endoByRelation(db *rel.Database) func(string) bool {
 	return func(name string) bool {
 		r := db.Relation(name)
-		if r == nil {
-			return false
-		}
-		for _, t := range r.Tuples() {
-			if t.Endo {
-				return true
-			}
-		}
-		return false
+		return r != nil && r.HasEndo()
 	}
 }
 

@@ -22,6 +22,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -58,6 +59,11 @@ const watchReplayBuffer = 64
 // paying a full_resync. Beyond the cap, a topic whose last subscriber
 // leaves is dropped immediately.
 const maxRetainedTopics = 32
+
+// defaultWatchBuffer is a subscriber's frame queue when the request
+// names none. Every mutation request queues one frame, so 16 absorbs a
+// burst of writes before the subscriber lags and must resync.
+const defaultWatchBuffer = 16
 
 // watchTopic is the fanout state of one watched explanation.
 type watchTopic struct {
@@ -142,10 +148,13 @@ func (ws *WatchSet) Active() int64 { return ws.hub.Active() }
 // returns the subscription and the initial frames to emit first: a
 // snapshot for a fresh subscription, the retained diff frames after
 // resumeFrom for a resume the diff buffer still covers (possibly
-// none), or a single full_resync when the resume point is gone. An
-// error means the fresh topic's initial ranking failed; nothing was
-// registered.
+// none), or a single full_resync when the resume point is gone. A
+// buffer ≤ 0 queues defaultWatchBuffer frames. An error means the
+// fresh topic's initial ranking failed; nothing was registered.
 func (ws *WatchSet) Subscribe(key string, buffer int, version uint64, resumeFrom uint64, mentions func(string) bool, rank func() ([]ExplanationDTO, map[int]string, error)) (*watch.Sub[WatchEvent], []WatchEvent, error) {
+	if buffer <= 0 {
+		buffer = defaultWatchBuffer
+	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	t, ok := ws.topics[key]
@@ -161,6 +170,62 @@ func (ws *WatchSet) Subscribe(key string, buffer int, version uint64, resumeFrom
 	sub := ws.hub.Subscribe(key, buffer)
 	return sub, t.initialFrames(resumeFrom), nil
 }
+
+// Follow delivers a subscription's frames to emit: the initial frames
+// Subscribe returned, then each live frame, until emit returns false
+// (nil), ctx ends (ctx.Err()), or the subscription or its topic goes
+// away (an error). A subscriber that lagged discards what is still
+// buffered, which predates the drop, and continues from a full_resync
+// of the topic's current state; a frame no newer than the last one
+// delivered was superseded by such a resync and is skipped. resumeFrom
+// is the version the subscriber already holds.
+func (ws *WatchSet) Follow(ctx context.Context, key string, sub *watch.Sub[WatchEvent], initial []WatchEvent, resumeFrom uint64, emit func(WatchEvent) bool) error {
+	last := resumeFrom
+	for _, ev := range initial {
+		if !emit(ev) {
+			return nil
+		}
+		last = ev.Version
+	}
+	for {
+		var ev WatchEvent
+		var ok bool
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case ev, ok = <-sub.C():
+		}
+		if !ok {
+			return errWatchClosed
+		}
+		if sub.TakeLag() {
+			for drained := false; !drained; {
+				select {
+				case _, ok := <-sub.C():
+					if !ok {
+						return errWatchClosed
+					}
+				default:
+					drained = true
+				}
+			}
+			if ev, ok = ws.Resync(key); !ok {
+				return errWatchDropped
+			}
+		} else if ev.Version <= last {
+			continue
+		}
+		if !emit(ev) {
+			return nil
+		}
+		last = ev.Version
+	}
+}
+
+var (
+	errWatchClosed  = errors.New("watch subscription closed")
+	errWatchDropped = errors.New("watch topic dropped")
+)
 
 // Unsubscribe closes sub. The topic survives its last subscriber
 // (bounded by maxRetainedTopics) so that subscriber can come back with
@@ -428,11 +493,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errWatchBudget(sess, b))
 		return
 	}
-	buffer := req.Buffer
-	if buffer <= 0 {
-		buffer = 16
-	}
-
 	// Resolve the topic and compute the initial ranking under the read
 	// lock, so the snapshot is consistent with the version it reports
 	// and no mutation fans out between them.
@@ -472,7 +532,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errBudget("server at capacity: %v", actx.Err()))
 		return
 	}
-	sub, initial, serr := sess.watch.Subscribe(key, buffer, sess.db.Version(), req.ResumeFrom,
+	sub, initial, serr := sess.watch.Subscribe(key, req.Buffer, sess.db.Version(), req.ResumeFrom,
 		func(relName string) bool { return queryMentions(q, relName) }, rank)
 	release()
 	sess.dbMu.RUnlock()
@@ -489,7 +549,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
-	lastVersion := req.ResumeFrom
 	emit := func(ev WatchEvent) bool {
 		// Per-frame write deadline: a wedged client is disconnected
 		// instead of pinning the handler forever. Transports without
@@ -506,51 +565,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
-	for _, ev := range initial {
-		if !emit(ev) {
-			return
-		}
-		lastVersion = ev.Version
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			if sub.TakeLag() {
-				// Dropped frames break the diff chain: discard everything
-				// still buffered (it predates the drop) and re-seed from the
-				// topic's current state.
-				for drained := false; !drained; {
-					select {
-					case _, ok := <-sub.C():
-						if !ok {
-							return
-						}
-					default:
-						drained = true
-					}
-				}
-				res, ok := sess.watch.Resync(key)
-				if !ok || !emit(res) {
-					return
-				}
-				lastVersion = res.Version
-				continue
-			}
-			if ev.Version <= lastVersion {
-				// Superseded frame (published before a resync that already
-				// covered it); applying it after the resync would corrupt
-				// the replayed state.
-				continue
-			}
-			if !emit(ev) {
-				return
-			}
-			lastVersion = ev.Version
-		}
-	}
+	// However the stream ends, the client sees it end; a client that
+	// wants to go on reconnects with resume_from.
+	_ = sess.watch.Follow(r.Context(), key, sub, initial, req.ResumeFrom, emit)
 }

@@ -3,9 +3,12 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -657,5 +660,58 @@ func TestWatchReplayRingBounded(t *testing.T) {
 	}
 	if initial[0].Type != "snapshot" {
 		t.Fatalf("fresh subscription's first frame = %q; want snapshot", initial[0].Type)
+	}
+}
+
+// TestFollowLagAndSupersede drives WatchSet.Follow, the subscriber loop
+// both transports share, without timing: a lagged subscriber gets one
+// full_resync of the topic's current state in place of its stale
+// queued frame, a frame no newer than the last delivered one is
+// skipped, and the loop reports why it stopped.
+func TestFollowLagAndSupersede(t *testing.T) {
+	ws := NewWatchSet()
+	noRank := func() ([]ExplanationDTO, map[int]string, error) { return nil, nil, nil }
+	sub, initial, err := ws.Subscribe("k", 2, 1, 0, func(string) bool { return false }, noRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Unsubscribe("k", sub)
+	// A loop that misses the frame it should stop at fails on the
+	// deadline instead of hanging the test.
+	bounded, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	var got []string
+	follow := func(ctx context.Context, initial []WatchEvent, from, until uint64) error {
+		return ws.Follow(ctx, "k", sub, initial, from, func(ev WatchEvent) bool {
+			got = append(got, fmt.Sprintf("%s@%d", ev.Type, ev.Version))
+			return ev.Version < until
+		})
+	}
+
+	// Three mutations against a two-frame queue: v2 and v3 are queued,
+	// v4 is dropped, and the subscription lags.
+	for v := uint64(2); v <= 4; v++ {
+		ws.Fanout(v, nil)
+	}
+	if err := follow(bounded, initial, 0, 4); err != nil {
+		t.Fatalf("%v after frames %v", err, got)
+	}
+	ws.hub.Publish("k", WatchEvent{Type: "diff", Version: 4})
+	ws.Fanout(5, nil)
+	if err := follow(bounded, nil, 4, 5); err != nil {
+		t.Fatalf("%v after frames %v", err, got)
+	}
+	if want := []string{"snapshot@1", "full_resync@4", "diff@5"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("frames %v, want %v", got, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := follow(ctx, nil, 5, 99); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Follow returned %v", err)
+	}
+	ws.CloseAll()
+	if err := follow(bounded, nil, 5, 99); err != errWatchClosed {
+		t.Fatalf("Follow on a closed subscription returned %v", err)
 	}
 }

@@ -19,6 +19,7 @@
 package whyno
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/querycause/querycause/internal/lineage"
@@ -192,11 +193,22 @@ func PotentialTuples(db *rel.Database, relName string, limit int) ([]rel.TupleID
 	if r == nil {
 		return nil, fmt.Errorf("whyno: unknown relation %s", relName)
 	}
-	existing := make(map[string]bool)
-	for _, t := range r.Tuples() {
-		existing[joinKey(t.Args)] = true
+	// Existing rows and candidates are keyed on their argument codes;
+	// every active-domain value is interned, so every candidate has one.
+	existing := make(map[string]bool, r.Len())
+	key := make([]byte, 0, 4*r.Arity)
+	for row := 0; row < r.Len(); row++ {
+		key = key[:0]
+		for c := 0; c < r.Arity; c++ {
+			key = binary.LittleEndian.AppendUint32(key, r.Col(c)[row])
+		}
+		existing[string(key)] = true
 	}
 	adom := db.ActiveDomain()
+	codes := make([]uint32, len(adom))
+	for i, v := range adom {
+		codes[i], _ = db.Dict().Code(v)
+	}
 	args := make([]rel.Value, r.Arity)
 	var out []rel.TupleID
 	var gen func(pos int) error
@@ -205,7 +217,7 @@ func PotentialTuples(db *rel.Database, relName string, limit int) ([]rel.TupleID
 			return nil
 		}
 		if pos == r.Arity {
-			if existing[joinKey(args)] {
+			if existing[string(key)] {
 				return nil
 			}
 			id, err := db.Add(relName, true, args...)
@@ -215,8 +227,9 @@ func PotentialTuples(db *rel.Database, relName string, limit int) ([]rel.TupleID
 			out = append(out, id)
 			return nil
 		}
-		for _, v := range adom {
+		for i, v := range adom {
 			args[pos] = v
+			key = binary.LittleEndian.AppendUint32(key[:4*pos], codes[i])
 			if err := gen(pos + 1); err != nil {
 				return err
 			}
@@ -226,16 +239,9 @@ func PotentialTuples(db *rel.Database, relName string, limit int) ([]rel.TupleID
 		}
 		return nil
 	}
+	key = key[:0]
 	if err := gen(0); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-func joinKey(vs []rel.Value) string {
-	out := ""
-	for _, v := range vs {
-		out += string(v) + "\x00"
-	}
-	return out
 }

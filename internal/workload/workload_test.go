@@ -57,13 +57,13 @@ func TestGeneratorsDeterministic(t *testing.T) {
 
 func TestTriangleExoSFlags(t *testing.T) {
 	db, _, _ := TriangleExoS(3, 10)
-	for _, tup := range db.Relation("S").Tuples() {
-		if tup.Endo {
+	for _, id := range db.Relation("S").RowIDs() {
+		if db.Endo(id) {
 			t.Fatal("S must be exogenous in TriangleExoS")
 		}
 	}
-	for _, tup := range db.Relation("R").Tuples() {
-		if !tup.Endo {
+	for _, id := range db.Relation("R").RowIDs() {
+		if !db.Endo(id) {
 			t.Fatal("R must be endogenous")
 		}
 	}
@@ -71,13 +71,13 @@ func TestTriangleExoSFlags(t *testing.T) {
 
 func TestWhyNoChainShape(t *testing.T) {
 	db, q := WhyNoChain(5, 15)
-	for _, tup := range db.Relation("R").Tuples() {
-		if tup.Endo {
+	for _, id := range db.Relation("R").RowIDs() {
+		if db.Endo(id) {
 			t.Fatal("real database must be exogenous")
 		}
 	}
-	for _, tup := range db.Relation("S").Tuples() {
-		if !tup.Endo {
+	for _, id := range db.Relation("S").RowIDs() {
+		if !db.Endo(id) {
 			t.Fatal("candidates must be endogenous")
 		}
 	}

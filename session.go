@@ -326,10 +326,6 @@ func (s *localSession) Watch(ctx context.Context, spec WatchSpec, opts ...Option
 		}
 		ctx, cancel := cfg.withTimeout(ctx)
 		defer cancel()
-		buffer := spec.Buffer
-		if buffer <= 0 {
-			buffer = 16
-		}
 		q := spec.Query
 		answer := append([]Value(nil), spec.Answer...)
 		key := watchKey(q, answer, spec.WhyNo, cfg.mode)
@@ -349,7 +345,7 @@ func (s *localSession) Watch(ctx context.Context, spec WatchSpec, opts ...Option
 			return dtos, tuples, nil
 		}
 		s.dbMu.RLock()
-		sub, initial, err := s.watch.Subscribe(key, buffer, s.db.Version(), spec.ResumeFrom, func(relName string) bool {
+		sub, initial, err := s.watch.Subscribe(key, spec.Buffer, s.db.Version(), spec.ResumeFrom, func(relName string) bool {
 			for _, a := range q.Atoms {
 				if a.Pred == relName {
 					return true
@@ -363,60 +359,12 @@ func (s *localSession) Watch(ctx context.Context, spec WatchSpec, opts ...Option
 			return
 		}
 		defer s.watch.Unsubscribe(key, sub)
-		lastVersion := spec.ResumeFrom
-		for _, ev := range initial {
-			if !yield(ev, nil) {
-				return
+		emit := func(ev DiffEvent) bool { return yield(ev, nil) }
+		if err := s.watch.Follow(ctx, key, sub, initial, spec.ResumeFrom, emit); err != nil {
+			if err != ctx.Err() {
+				err = fmt.Errorf("querycause: %w", err)
 			}
-			lastVersion = ev.Version
-		}
-		for {
-			select {
-			case <-ctx.Done():
-				yield(DiffEvent{}, ctx.Err())
-				return
-			case ev, ok := <-sub.C():
-				if !ok {
-					yield(DiffEvent{}, fmt.Errorf("querycause: watch subscription closed"))
-					return
-				}
-				if sub.TakeLag() {
-					// Dropped frames break the diff chain: discard what is
-					// still buffered (it predates the drop) and re-seed from
-					// the topic's current state — the same recovery the
-					// server's handler performs.
-					for drained := false; !drained; {
-						select {
-						case _, ok := <-sub.C():
-							if !ok {
-								yield(DiffEvent{}, fmt.Errorf("querycause: watch subscription closed"))
-								return
-							}
-						default:
-							drained = true
-						}
-					}
-					res, ok := s.watch.Resync(key)
-					if !ok {
-						yield(DiffEvent{}, fmt.Errorf("querycause: watch topic dropped"))
-						return
-					}
-					if !yield(res, nil) {
-						return
-					}
-					lastVersion = res.Version
-					continue
-				}
-				if ev.Version <= lastVersion {
-					// Superseded frame (published before a resync that already
-					// covered it); applying it would corrupt the replay.
-					continue
-				}
-				if !yield(ev, nil) {
-					return
-				}
-				lastVersion = ev.Version
-			}
+			yield(DiffEvent{}, err)
 		}
 	}
 }
