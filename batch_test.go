@@ -8,7 +8,7 @@ import (
 
 	qc "github.com/querycause/querycause"
 	"github.com/querycause/querycause/internal/imdb"
-	"github.com/querycause/querycause/internal/rel"
+	"github.com/querycause/querycause/internal/ra"
 )
 
 // TestExplainAllMatchesSerial batches every answer of the genre query
@@ -17,7 +17,7 @@ import (
 func TestExplainAllMatchesSerial(t *testing.T) {
 	db := imdb.Synthetic(imdb.Config{Seed: 7, Directors: 40})
 	q := imdb.GenreQuery()
-	ans, err := rel.Answers(db, q)
+	ans, err := ra.Answers(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ import (
 	"github.com/querycause/querycause/internal/exact"
 	"github.com/querycause/querycause/internal/imdb"
 	"github.com/querycause/querycause/internal/lineage"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/reductions"
-	"github.com/querycause/querycause/internal/rel"
 	"github.com/querycause/querycause/internal/rewrite"
 	"github.com/querycause/querycause/internal/shape"
 	"github.com/querycause/querycause/internal/whyno"
@@ -48,7 +48,7 @@ func BenchmarkE2_Fig2IMDBRanking(b *testing.B) {
 		b.Run(fmt.Sprintf("synthetic/directors=%d", nd), func(b *testing.B) {
 			db := imdb.Synthetic(imdb.Config{Seed: 42, Directors: nd})
 			q := imdb.GenreQuery()
-			ans, err := rel.Answers(db, q)
+			ans, err := ra.Answers(db, q)
 			if err != nil || len(ans) == 0 {
 				b.Fatalf("no answers: %v", err)
 			}
@@ -341,7 +341,7 @@ func BenchmarkE18_ParallelRanking(b *testing.B) {
 func BenchmarkE19_ExplainAllBatch(b *testing.B) {
 	db := imdb.Synthetic(imdb.Config{Seed: 42, Directors: 120})
 	q := imdb.GenreQuery()
-	ans, err := rel.Answers(db, q)
+	ans, err := ra.Answers(db, q)
 	if err != nil || len(ans) == 0 {
 		b.Fatalf("no answers: %v", err)
 	}

@@ -29,7 +29,7 @@ import (
 	qc "github.com/querycause/querycause"
 	"github.com/querycause/querycause/internal/imdb"
 	"github.com/querycause/querycause/internal/persist"
-	"github.com/querycause/querycause/internal/rel"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/server"
 )
 
@@ -167,7 +167,7 @@ func clusterSoak() {
 	if err != nil {
 		log.Fatalf("preparing pinned query: %v", err)
 	}
-	answers, err := rel.Answers(micro, imdb.GenreQuery())
+	answers, err := ra.Answers(micro, imdb.GenreQuery())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 
 	qc "github.com/querycause/querycause"
 	"github.com/querycause/querycause/internal/imdb"
-	"github.com/querycause/querycause/internal/rel"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/workload"
 )
 
@@ -137,7 +137,7 @@ func loadTargets(ctx context.Context, c *qc.Client, baseURL string, opts ...qc.O
 		return nil, cleanup, err
 	}
 	genre := imdb.GenreQuery()
-	answers, err := rel.Answers(micro, genre)
+	answers, err := ra.Answers(micro, genre)
 	if err != nil {
 		return nil, cleanup, err
 	}

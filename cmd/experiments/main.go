@@ -70,6 +70,7 @@ import (
 	"github.com/querycause/querycause/internal/core"
 	"github.com/querycause/querycause/internal/exact"
 	"github.com/querycause/querycause/internal/imdb"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/reductions"
 	"github.com/querycause/querycause/internal/rel"
 	"github.com/querycause/querycause/internal/respflow"
@@ -141,7 +142,7 @@ func shortTuple(db *rel.Database, id rel.TupleID) string {
 func fig1() {
 	header("Figure 1: genres of movies directed by Burton (synthetic IMDB)")
 	db := imdb.Synthetic(imdb.Config{Seed: 42, Directors: 60})
-	ans, err := rel.Answers(db, imdb.GenreQuery())
+	ans, err := ra.Answers(db, imdb.GenreQuery())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -398,7 +399,7 @@ func batch() {
 	header("Batch: all genre answers explained in one ExplainAll call")
 	db := imdb.Synthetic(imdb.Config{Seed: 42, Directors: 60})
 	q := imdb.GenreQuery()
-	ans, err := rel.Answers(db, q)
+	ans, err := ra.Answers(db, q)
 	if err != nil {
 		log.Fatal(err)
 	}

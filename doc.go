@@ -224,11 +224,12 @@
 // and maintained in place by every insert and delete. Query evaluation
 // is a planned streaming pipeline (internal/ra) — atoms ordered by
 // selectivity, joins that probe those persistent indexes on shared
-// variables, bindings flowing through reusable buffers — so an
-// evaluation costs what it returns rather than a hash build over every
-// relation it touches, and every valuation
-// carries the witness rows that produced it, so lineage is captured
-// during evaluation rather than recomputed in a second pass. The
+// variables, bindings flowing through reusable buffers as codes — so
+// an evaluation costs what it returns rather than a hash build over
+// every relation it touches. A valuation is the list of witness rows
+// that produced it, so lineage is captured during evaluation rather
+// than recomputed in a second pass, and Algorithm 1's flow network is
+// laid out from the witnesses' codes. The
 // naive row-at-a-time reference evaluator remains available
 // (rel.EvalNaive), and the differential harness holds the two planes
 // to identical valuations and byte-identical lineage DNFs.

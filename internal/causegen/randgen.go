@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 	"github.com/querycause/querycause/internal/whyno"
 )
@@ -292,7 +293,7 @@ func randomWhyNo(seed int64, rng *rand.Rand, q *rel.Query, cfg GenConfig) *Insta
 					}
 				}
 			}
-			if held, err := rel.Holds(b.db, q); err != nil || held {
+			if held, err := ra.Holds(b.db, q); err != nil || held {
 				continue // Dˣ already satisfies q: not a non-answer
 			}
 		}

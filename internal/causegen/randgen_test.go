@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"github.com/querycause/querycause/internal/parser"
-	"github.com/querycause/querycause/internal/rel"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/whyno"
 )
 
@@ -65,7 +65,7 @@ func TestRandomInstanceWellFormed(t *testing.T) {
 			}
 		} else {
 			sawWhySo = true
-			held, err := rel.Holds(in.DB, in.Query)
+			held, err := ra.Holds(in.DB, in.Query)
 			if err != nil {
 				t.Fatalf("seed %d: holds: %v", seed, err)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -147,5 +148,81 @@ func TestExplainBatchPerRequestError(t *testing.T) {
 	}
 	if res[1].Err == nil {
 		t.Error("bad request did not fail")
+	}
+}
+
+// TestPrimeFromRenamedQuery: a server caches certificates per shape,
+// so an engine may be primed with the certificates of a query that
+// differs from its own only in variable names. The flow network is laid
+// out by variable position, not name, so the ranking must equal an
+// unprimed engine's — also when the names are permuted, so that a
+// lookup by name would land on the other interface.
+func TestPrimeFromRenamedQuery(t *testing.T) {
+	chain := func(r, s1, s2, tv string) *rel.Query {
+		return &rel.Query{Name: "q", Head: []rel.Term{rel.V(r)}, Atoms: []rel.Atom{
+			rel.NewAtom("R", rel.V(r), rel.V(s1)),
+			rel.NewAtom("S", rel.V(s1), rel.V(s2)),
+			rel.NewAtom("T", rel.V(tv)),
+		}}
+	}
+	q := chain("x", "y", "z", "z")
+	others := map[string]*rel.Query{
+		"renamed":  chain("a", "b", "c", "c"),
+		"permuted": chain("x", "z", "y", "y"),
+	}
+	rng := rand.New(rand.NewSource(5))
+	dom := []rel.Value{"0", "1", "2", "3"}
+	v := func() rel.Value { return dom[rng.Intn(len(dom))] }
+	flowed := 0
+	for trial := 0; trial < 60; trial++ {
+		db := rel.NewDatabase()
+		for i := 0; i < 8; i++ {
+			db.MustAdd("R", rng.Intn(4) != 0, "a", v())
+			db.MustAdd("S", rng.Intn(4) != 0, v(), v())
+		}
+		for i := 0; i < 3; i++ {
+			db.MustAdd("T", rng.Intn(4) != 0, v())
+		}
+		lazy, err := NewWhySo(db, q, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := lazy.RankAll(ModeAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lazy.nets[ModeAuto] == nil {
+			continue // no cause, or all counterfactual: no network
+		}
+		flowed++
+		for name, other := range others {
+			src, err := NewWhySo(db, other, "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sound, err := src.Classification()
+			if err != nil {
+				t.Fatal(err)
+			}
+			primed, err := NewWhySo(db, q, "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			primed.Prime(sound, nil)
+			got, err := primed.RankAll(ModeAuto)
+			if err != nil {
+				t.Errorf("trial %d %s: %v", trial, name, err)
+				continue
+			}
+			if primed.nets[ModeAuto] == nil {
+				t.Errorf("trial %d %s: primed engine built no network", trial, name)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("trial %d %s: primed ranking diverged:\n got %v\nwant %v", trial, name, got, want)
+			}
+		}
+	}
+	if flowed < 10 {
+		t.Fatalf("only %d instances reached the flow path", flowed)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/querycause/querycause/internal/imdb"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 )
 
@@ -22,7 +23,7 @@ func validWhySoContingency(t *testing.T, db *rel.Database, q *rel.Query, tuple r
 		}
 		removed[id] = true
 	}
-	on, err := rel.HoldsWithout(db, q, removed)
+	on, err := ra.HoldsWithout(db, q, removed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func validWhySoContingency(t *testing.T, db *rel.Database, q *rel.Query, tuple r
 		return false
 	}
 	removed[tuple] = true
-	off, err := rel.HoldsWithout(db, q, removed)
+	off, err := ra.HoldsWithout(db, q, removed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestContingencyWitnessesFuzz(t *testing.T) {
 					db.MustAdd(a.Pred, rng.Intn(5) != 0, dom[rng.Intn(3)], dom[rng.Intn(3)])
 				}
 			}
-			holds, err := rel.Holds(db, q)
+			holds, err := ra.Holds(db, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +152,7 @@ func TestWhyNoContingencyWitness(t *testing.T) {
 		}
 		// Without t: must be false.
 		removed[id] = true
-		on, err := rel.HoldsWithout(db, q, removed)
+		on, err := ra.HoldsWithout(db, q, removed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestWhyNoContingencyWitness(t *testing.T) {
 		}
 		// With t: must be true.
 		delete(removed, id)
-		on, err = rel.HoldsWithout(db, q, removed)
+		on, err = ra.HoldsWithout(db, q, removed)
 		if err != nil {
 			t.Fatal(err)
 		}

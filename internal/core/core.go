@@ -341,8 +341,9 @@ func (e *Engine) certificateLocked(mode Mode) (*rewrite.Certificate, error) {
 // cache), so the first Responsibility call skips re-classification.
 // Either argument may be nil to leave that slot lazy. The certificates
 // must have been derived from the same query shape and endogenous
-// flags the engine sees (same bound query over the same database);
-// Prime does not re-validate this.
+// flags the engine sees (the same bound query over the same database,
+// up to variable names: the flow network reads shape variables by
+// first occurrence, not by name); Prime does not re-validate this.
 func (e *Engine) Prime(sound, paper *rewrite.Certificate) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

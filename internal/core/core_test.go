@@ -7,6 +7,7 @@ import (
 
 	"github.com/querycause/querycause/internal/exact"
 	"github.com/querycause/querycause/internal/imdb"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 	"github.com/querycause/querycause/internal/respflow"
 	"github.com/querycause/querycause/internal/shape"
@@ -244,11 +245,11 @@ func TestDominationCounterexample(t *testing.T) {
 // exactContingencyCheck verifies {γ} is a contingency for t by
 // definition: q true on D−{γ}, false on D−{γ,t}.
 func exactContingencyCheck(db *rel.Database, q *rel.Query, t, gamma rel.TupleID) (string, bool) {
-	on, err := rel.HoldsWithout(db, q, map[rel.TupleID]bool{gamma: true})
+	on, err := ra.HoldsWithout(db, q, map[rel.TupleID]bool{gamma: true})
 	if err != nil || !on {
 		return "q false on D-Γ", false
 	}
-	off, err := rel.HoldsWithout(db, q, map[rel.TupleID]bool{gamma: true, t: true})
+	off, err := ra.HoldsWithout(db, q, map[rel.TupleID]bool{gamma: true, t: true})
 	if err != nil || off {
 		return "q true on D-Γ-t", false
 	}
@@ -337,7 +338,7 @@ func TestAutoMatchesExactOnLinearFamilies(t *testing.T) {
 					db.MustAdd(a.Pred, endo, args...)
 				}
 			}
-			holds, err := rel.Holds(db, q)
+			holds, err := ra.Holds(db, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -465,7 +466,7 @@ func TestSelfJoinEngine(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			db.MustAdd("S", false, dom[rng.Intn(4)], dom[rng.Intn(4)])
 		}
-		holds, _ := rel.Holds(db, q)
+		holds, _ := ra.Holds(db, q)
 		if !holds {
 			continue
 		}

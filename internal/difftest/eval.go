@@ -6,8 +6,8 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"github.com/querycause/querycause/internal/causegen"
 	"github.com/querycause/querycause/internal/lineage"
@@ -18,8 +18,8 @@ import (
 // checkEvalEquivalence runs the instance's query through both
 // evaluation backends and requires:
 //
-//   - identical valuation sets: same bindings with the same per-atom
-//     witness tuples, compared as canonically serialized sets
+//   - identical valuation sets: the same per-atom witness tuples,
+//     compared as canonically serialized sets
 //     (enumeration order is backend-specific and not part of the
 //     contract);
 //   - identical minimal endogenous lineages: the streamed
@@ -70,33 +70,14 @@ func checkEvalEquivalence(inst *causegen.Instance) error {
 }
 
 // valuationKeys canonically serializes a valuation list as a sorted,
-// deduplicated key set: variables in sorted order with their values,
-// then the witness IDs in atom order.
+// deduplicated key set of witness lists (IDs in atom order). A witness
+// list determines its valuation's binding, so equal key sets mean equal
+// valuation sets.
 func valuationKeys(vals []rel.Valuation) []string {
-	keys := make([]string, 0, len(vals))
-	var b strings.Builder
-	for _, v := range vals {
-		b.Reset()
-		names := make([]string, 0, len(v.Binding))
-		for name := range v.Binding {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s=%s;", name, v.Binding[name])
-		}
-		b.WriteString("|")
-		for _, id := range v.Witness {
-			fmt.Fprintf(&b, "%d,", id)
-		}
-		keys = append(keys, b.String())
+	keys := make([]string, len(vals))
+	for i, v := range vals {
+		keys[i] = fmt.Sprint(v.Witness)
 	}
 	sort.Strings(keys)
-	out := keys[:0]
-	for i, k := range keys {
-		if i == 0 || keys[i-1] != k {
-			out = append(out, k)
-		}
-	}
-	return out
+	return slices.Compact(keys)
 }

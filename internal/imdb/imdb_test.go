@@ -3,6 +3,7 @@ package imdb
 import (
 	"testing"
 
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 )
 
@@ -31,7 +32,7 @@ func TestMicroShape(t *testing.T) {
 
 func TestMicroMusicalAnswer(t *testing.T) {
 	db, _ := Micro()
-	ans, err := rel.Answers(db, GenreQuery())
+	ans, err := ra.Answers(db, GenreQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestSyntheticDeterministic(t *testing.T) {
 
 func TestSyntheticHasBurtonAnswers(t *testing.T) {
 	db := Synthetic(Config{Seed: 7, Directors: 30})
-	ans, err := rel.Answers(db, GenreQuery())
+	ans, err := ra.Answers(db, GenreQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSyntheticScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := rel.Holds(db, bq)
+	held, err := ra.Holds(db, bq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,27 +93,13 @@ type DNF struct {
 	True      bool
 }
 
-// Build computes the lineage Φ of the Boolean query q over db: one
-// conjunct per valuation, containing the variables of all witness tuples
-// (Section 3). Duplicate conjuncts are merged. Evaluation goes through
-// the registered backend (rel.Valuations); for the endogenous lineage
-// prefer NLineageOf, which captures Φⁿ during evaluation instead of
-// materializing Φ first.
-func Build(db *rel.Database, q *rel.Query) (DNF, error) {
-	if !q.IsBoolean() {
-		return DNF{}, fmt.Errorf("lineage: query %s is not Boolean; call Bind first", q.Name)
-	}
-	vals, err := rel.Valuations(db, q)
-	if err != nil {
-		return DNF{}, err
-	}
-	return buildFrom(vals), nil
-}
-
-// BuildNaive is Build over the naive reference evaluator
-// (rel.EvalNaive), regardless of the registered backend. The
-// differential harness composes it into NLineageOfNaive to check the
-// streamed lineage against the definitional two-pass construction.
+// BuildNaive computes the lineage Φ of the Boolean query q over db with
+// the naive reference evaluator (rel.EvalNaive): one conjunct per
+// valuation, containing the variables of all witness tuples (Section
+// 3), duplicate conjuncts merged. The differential harness composes it
+// into NLineageOfNaive to check the streamed lineage (NLineageOf, which
+// captures Φⁿ during evaluation) against the definitional two-pass
+// construction.
 func BuildNaive(db *rel.Database, q *rel.Query) (DNF, error) {
 	if !q.IsBoolean() {
 		return DNF{}, fmt.Errorf("lineage: query %s is not Boolean; call Bind first", q.Name)

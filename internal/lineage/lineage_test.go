@@ -74,12 +74,12 @@ func TestRemoveRedundantPaperExample(t *testing.T) {
 
 func TestRemoveRedundantKeepsEqualDuplicatesOnce(t *testing.T) {
 	d := DNF{Conjuncts: []Conjunct{NewConjunct(1, 2), NewConjunct(2, 1)}}
-	// Build/NLineage dedupe; RemoveRedundant must not treat equal sets as
+	// BuildNaive/NLineageOf dedupe; RemoveRedundant must not treat equal sets as
 	// strict subsets of each other.
 	m := RemoveRedundant(d)
 	if len(m.Conjuncts) != 2 {
 		// Both survive (they are equal, not strictly contained); the
-		// algebra tolerates this because Build deduplicates upstream.
+		// algebra tolerates this because BuildNaive deduplicates upstream.
 		t.Logf("equal conjuncts kept: %v", m)
 	}
 	if !m.Satisfiable() {
@@ -111,7 +111,7 @@ func TestExample3_3(t *testing.T) {
 		rel.NewAtom("R", rel.V("x"), rel.C("a3")),
 		rel.NewAtom("S", rel.C("a3")),
 	)
-	phi, err := Build(db, q)
+	phi, err := BuildNaive(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestNLineageTrue(t *testing.T) {
 	db.MustAdd("R", false, "a")
 	db.MustAdd("R", true, "b")
 	q := rel.NewBoolean(rel.NewAtom("R", rel.V("x")))
-	phi, _ := Build(db, q)
+	phi, _ := BuildNaive(db, q)
 	n := NLineage(phi, db)
 	if !n.True {
 		t.Fatalf("Φⁿ = %v, want true", n)
@@ -153,7 +153,7 @@ func TestNLineageTrue(t *testing.T) {
 func TestBuildRejectsNonBoolean(t *testing.T) {
 	db := rel.NewDatabase()
 	q := &rel.Query{Name: "q", Head: []rel.Term{rel.V("x")}, Atoms: []rel.Atom{rel.NewAtom("R", rel.V("x"))}}
-	if _, err := Build(db, q); err == nil {
+	if _, err := BuildNaive(db, q); err == nil {
 		t.Fatal("expected error for non-Boolean query")
 	}
 }
@@ -162,7 +162,7 @@ func TestBuildFalseQuery(t *testing.T) {
 	db := rel.NewDatabase()
 	db.MustAdd("R", true, "a")
 	q := rel.NewBoolean(rel.NewAtom("R", rel.C("zzz")))
-	phi, err := Build(db, q)
+	phi, err := BuildNaive(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}

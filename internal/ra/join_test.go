@@ -120,12 +120,8 @@ func pinnedValuations(t *testing.T, db *rel.Database, q *rel.Query, atom int, id
 		return nil
 	}
 	var out []rel.Valuation
-	p.runPinned(nil, atom, id, func(slots []uint32, witness []rel.TupleID) bool {
-		b := make(map[string]rel.Value, len(p.varNames))
-		for s, name := range p.varNames {
-			b[name] = db.Dict().Value(slots[s])
-		}
-		out = append(out, rel.Valuation{Binding: b, Witness: append([]rel.TupleID(nil), witness...)})
+	p.runPinned(nil, atom, id, func(_ []uint32, witness []rel.TupleID) bool {
+		out = append(out, rel.Valuation{Witness: append([]rel.TupleID(nil), witness...)})
 		return true
 	})
 	return out
@@ -241,11 +237,11 @@ func TestMutatedIndexesEvaluateLikeFreshOnes(t *testing.T) {
 	}
 }
 
-// seq renders a valuation sequence in order, bindings by query variable.
+// seq renders a valuation sequence in order.
 func seq(vals []rel.Valuation) string {
 	var b strings.Builder
 	for _, v := range vals {
-		fmt.Fprintf(&b, "%v%v;", v.Witness, v.Binding)
+		fmt.Fprintf(&b, "%v;", v.Witness)
 	}
 	return b.String()
 }

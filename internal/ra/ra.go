@@ -29,24 +29,19 @@
 // the dense TupleID space lineage.Index interns, in the same pass that
 // evaluates the query, instead of a second evaluation pass.
 //
-// Importing this package installs it as the backend behind
-// rel.Valuations / rel.Holds / rel.HoldsWithout (see
-// rel.RegisterEvaluator); the naive reference evaluator stays available
-// as rel.EvalNaive, and internal/difftest differential-tests the two on
-// every sweep.
+// This is the evaluator every caller of the library uses: Valuations,
+// Holds, HoldsWithout, Answers and NLineageConjuncts. The naive
+// reference evaluator stays in internal/rel (rel.EvalNaive, HoldsNaive,
+// HoldsWithoutNaive), and internal/difftest differential-tests the two
+// on every sweep.
 package ra
 
 import (
+	"slices"
+	"strings"
+
 	"github.com/querycause/querycause/internal/rel"
 )
-
-func init() {
-	rel.RegisterEvaluator(&rel.Evaluator{
-		Valuations:   Valuations,
-		Holds:        Holds,
-		HoldsWithout: HoldsWithout,
-	})
-}
 
 // Valuations enumerates all valuations of the query body over db
 // through the planned pipeline. Semantics match rel.EvalNaive (the
@@ -61,15 +56,71 @@ func Valuations(db *rel.Database, q *rel.Query) ([]rel.Valuation, error) {
 		return nil, nil
 	}
 	var out []rel.Valuation
-	p.run(nil, func(slots []uint32, witness []rel.TupleID) bool {
-		binding := make(map[string]rel.Value, len(p.varNames))
-		for s, name := range p.varNames {
-			binding[name] = db.Dict().Value(slots[s])
-		}
-		out = append(out, rel.Valuation{Binding: binding, Witness: append([]rel.TupleID(nil), witness...)})
+	p.run(nil, func(_ []uint32, witness []rel.TupleID) bool {
+		out = append(out, rel.Valuation{Witness: append([]rel.TupleID(nil), witness...)})
 		return true
 	})
 	return out, nil
+}
+
+// Answers evaluates a non-Boolean query and groups its valuations by
+// head value, reading each head variable off its pipeline slot. Within
+// an answer the valuations keep pipeline order; the answers are sorted
+// by their head values joined with NUL bytes.
+func Answers(db *rel.Database, q *rel.Query) ([]rel.Answer, error) {
+	if err := q.Validate(db); err != nil {
+		return nil, err
+	}
+	p, err := compile(db, q)
+	if err != nil {
+		return nil, err
+	}
+	out := []rel.Answer{}
+	if p == nil {
+		return out, nil
+	}
+	// slot[i] holds head term i's value, or is -1 for a constant.
+	slot := make([]int, len(q.Head))
+	for i, h := range q.Head {
+		slot[i] = -1
+		if h.IsVar {
+			slot[i] = slices.Index(p.varNames, h.Var)
+		}
+	}
+	groups := make(map[string]int) // joined head values → index into out
+	var keys []string
+	vals := make([]rel.Value, len(q.Head))
+	p.run(nil, func(slots []uint32, witness []rel.TupleID) bool {
+		for i, h := range q.Head {
+			if vals[i] = h.Const; slot[i] >= 0 {
+				vals[i] = db.Dict().Value(slots[slot[i]])
+			}
+		}
+		key := joinValues(vals)
+		g, ok := groups[key]
+		if !ok {
+			g = len(out)
+			groups[key] = g
+			keys = append(keys, key)
+			out = append(out, rel.Answer{Values: slices.Clone(vals)})
+		}
+		out[g].Valuations = append(out[g].Valuations, rel.Valuation{Witness: append([]rel.TupleID(nil), witness...)})
+		return true
+	})
+	slices.Sort(keys)
+	sorted := make([]rel.Answer, len(keys))
+	for i, k := range keys {
+		sorted[i] = out[groups[k]]
+	}
+	return sorted, nil
+}
+
+func joinValues(vs []rel.Value) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = string(v)
+	}
+	return strings.Join(parts, "\x00")
 }
 
 // Holds reports whether the Boolean query holds, stopping at the first

@@ -3,32 +3,18 @@ package ra
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 
 	"github.com/querycause/querycause/internal/rel"
 )
 
-// canon serializes a valuation list as a sorted set of canonical keys,
+// canon serializes a valuation list as a sorted set of witness lists,
 // so naive and planned enumerations compare independent of order.
 func canon(t *testing.T, vals []rel.Valuation) []string {
 	t.Helper()
 	keys := make([]string, 0, len(vals))
 	for _, v := range vals {
-		var b strings.Builder
-		names := make([]string, 0, len(v.Binding))
-		for name := range v.Binding {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s=%s;", name, v.Binding[name])
-		}
-		b.WriteString("|")
-		for _, id := range v.Witness {
-			fmt.Fprintf(&b, "%d,", id)
-		}
-		keys = append(keys, b.String())
+		keys = append(keys, fmt.Sprint(v.Witness))
 	}
 	sort.Strings(keys)
 	return keys

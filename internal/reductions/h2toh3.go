@@ -3,6 +3,7 @@ package reductions
 import (
 	"fmt"
 
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 )
 
@@ -33,7 +34,7 @@ func H2ToH3(db *rel.Database) (*rel.Database, map[rel.TupleID]rel.TupleID, error
 		rel.NewAtom("S", rel.V("y"), rel.V("z")),
 		rel.NewAtom("T", rel.V("z"), rel.V("x")),
 	)
-	vals, err := rel.Valuations(db, q2)
+	vals, err := ra.Valuations(db, q2)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 )
 
@@ -302,12 +303,12 @@ func (ri *RingInstance) ValidContingency(gamma []rel.TupleID) (bool, error) {
 		}
 		removed[id] = true
 	}
-	on, err := rel.HoldsWithout(ri.DB, ri.Q, removed)
+	on, err := ra.HoldsWithout(ri.DB, ri.Q, removed)
 	if err != nil || !on {
 		return false, err
 	}
 	removed[ri.Target] = true
-	off, err := rel.HoldsWithout(ri.DB, ri.Q, removed)
+	off, err := ra.HoldsWithout(ri.DB, ri.Q, removed)
 	if err != nil {
 		return false, err
 	}

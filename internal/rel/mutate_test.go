@@ -88,7 +88,7 @@ func TestDeleteErrors(t *testing.T) {
 func TestDeleteEvaluation(t *testing.T) {
 	db := example22DB(t)
 	q := example22Query()
-	before, err := Answers(db, q)
+	before, err := EvalNaive(db, q)
 	if err != nil || len(before) == 0 {
 		t.Fatalf("query has no answers before delete (%v)", err)
 	}
@@ -98,7 +98,7 @@ func TestDeleteEvaluation(t *testing.T) {
 			t.Fatalf("Delete(%d): %v", id, err)
 		}
 	}
-	if got, err := Answers(db, q); err != nil || len(got) != 0 {
+	if got, err := EvalNaive(db, q); err != nil || len(got) != 0 {
 		t.Fatalf("answers after deleting all of S: %v (%v)", got, err)
 	}
 	if db.Relation("S").Len() != 0 {

@@ -2,9 +2,7 @@ package rel
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync/atomic"
 
 	"github.com/querycause/querycause/internal/qerr"
 )
@@ -188,11 +186,12 @@ func (q *Query) String() string {
 	return b.String()
 }
 
-// Valuation is one way of satisfying a Boolean query: a binding of the
-// query variables plus, per atom, the witness tuple it maps onto.
+// Valuation is one way of satisfying a Boolean query, given by its
+// witness tuples: Witness[i] is the ID of the tuple matched by
+// q.Atoms[i]. The witnesses determine the binding of every query
+// variable (each variable occurs in some atom), so a caller that needs a
+// variable's value reads it off the witness of an atom that holds it.
 type Valuation struct {
-	Binding map[string]Value
-	// Witness[i] is the ID of the tuple matched by q.Atoms[i].
 	Witness []TupleID
 }
 
@@ -203,49 +202,13 @@ type Answer struct {
 	Valuations []Valuation
 }
 
-// Evaluator is a pluggable evaluation backend for the package-level
-// entry points. internal/ra registers its planned streaming evaluator
-// here from an init function, so any binary linking that package gets
-// selectivity-ordered index-probe join evaluation (over the persistent
-// column code indexes, see Relation.CodeIndex) for Valuations, Holds
-// and HoldsWithout; binaries that never import it keep the naive reference
-// evaluator. The naive path stays reachable forever through EvalNaive,
-// HoldsNaive and HoldsWithoutNaive — internal/difftest differential-
-// tests the two backends against each other on every sweep.
-type Evaluator struct {
-	Valuations   func(db *Database, q *Query) ([]Valuation, error)
-	Holds        func(db *Database, q *Query) (bool, error)
-	HoldsWithout func(db *Database, q *Query, removed map[TupleID]bool) (bool, error)
-}
-
-var evaluator atomic.Pointer[Evaluator]
-
-// RegisterEvaluator installs the planned evaluation backend. Intended
-// to be called from internal/ra's init; passing nil restores the naive
-// backend (tests only).
-func RegisterEvaluator(e *Evaluator) { evaluator.Store(e) }
-
-// Valuations enumerates all valuations of the Boolean query q over db.
-// For non-Boolean queries it enumerates valuations of the body (the head
-// is ignored); use Answers to group them by head value.
-//
-// With the planned backend registered (see Evaluator) this streams a
-// selectivity-ordered pipeline of index-probe joins; otherwise it falls back to
-// EvalNaive. Valuation order is deterministic per backend but differs
-// between backends; callers needing a canonical order sort.
-func Valuations(db *Database, q *Query) ([]Valuation, error) {
-	if e := evaluator.Load(); e != nil && e.Valuations != nil {
-		return e.Valuations(db, q)
-	}
-	return EvalNaive(db, q)
-}
-
 // EvalNaive enumerates all valuations with the naive reference
 // evaluator: a greedy bound-variable join order probing the code index
 // of one bound column, one backtracking search matching atom terms
-// against the values of each candidate row's codes. It is the
-// permanently available baseline the planned evaluator is
-// differential-tested against.
+// against the values of each candidate row's codes. The head of a
+// non-Boolean query is ignored: the valuations are those of its body.
+// It is the permanently available baseline the planned evaluator
+// (internal/ra) is differential-tested against.
 func EvalNaive(db *Database, q *Query) ([]Valuation, error) {
 	for _, a := range q.Atoms {
 		r := db.Relation(a.Pred)
@@ -264,11 +227,7 @@ func EvalNaive(db *Database, q *Query) ([]Valuation, error) {
 	var rec func(depth int)
 	rec = func(depth int) {
 		if depth == len(q.Atoms) {
-			bcopy := make(map[string]Value, len(binding))
-			for k, v := range binding {
-				bcopy[k] = v
-			}
-			out = append(out, Valuation{Binding: bcopy, Witness: append([]TupleID(nil), witness...)})
+			out = append(out, Valuation{Witness: append([]TupleID(nil), witness...)})
 			return
 		}
 		ai := pickNextAtom(q, used, binding)
@@ -375,16 +334,8 @@ func unwind(binding map[string]Value, newVars []string) ([]string, bool) {
 	return nil, false
 }
 
-// Holds reports whether the Boolean query q is true on db. The planned
-// backend short-circuits on the first streamed valuation.
-func Holds(db *Database, q *Query) (bool, error) {
-	if e := evaluator.Load(); e != nil && e.Holds != nil {
-		return e.Holds(db, q)
-	}
-	return HoldsNaive(db, q)
-}
-
-// HoldsNaive is Holds on the naive reference evaluator.
+// HoldsNaive reports whether the Boolean query q is true on db, on the
+// naive reference evaluator (the reference for ra.Holds).
 func HoldsNaive(db *Database, q *Query) (bool, error) {
 	vals, err := EvalNaive(db, q)
 	if err != nil {
@@ -393,65 +344,9 @@ func HoldsNaive(db *Database, q *Query) (bool, error) {
 	return len(vals) > 0, nil
 }
 
-// Answers evaluates a non-Boolean query, grouping valuations by head
-// value. Results are sorted by head tuple for determinism.
-func Answers(db *Database, q *Query) ([]Answer, error) {
-	if err := q.Validate(db); err != nil {
-		return nil, err
-	}
-	vals, err := Valuations(db, q)
-	if err != nil {
-		return nil, err
-	}
-	groups := make(map[string]*Answer)
-	var keys []string
-	for _, val := range vals {
-		hv := make([]Value, len(q.Head))
-		for i, h := range q.Head {
-			if h.IsVar {
-				hv[i] = val.Binding[h.Var]
-			} else {
-				hv[i] = h.Const
-			}
-		}
-		key := joinValues(hv)
-		g, ok := groups[key]
-		if !ok {
-			g = &Answer{Values: hv}
-			groups[key] = g
-			keys = append(keys, key)
-		}
-		g.Valuations = append(g.Valuations, val)
-	}
-	sort.Strings(keys)
-	out := make([]Answer, 0, len(groups))
-	for _, k := range keys {
-		out = append(out, *groups[k])
-	}
-	return out, nil
-}
-
-func joinValues(vs []Value) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = string(v)
-	}
-	return strings.Join(parts, "\x00")
-}
-
-// HoldsWithout reports whether q is true on db with the given tuples
-// removed. It does not mutate db. The planned backend pushes the
-// removal filter into its scans and stops at the first surviving
-// valuation.
-func HoldsWithout(db *Database, q *Query, removed map[TupleID]bool) (bool, error) {
-	if e := evaluator.Load(); e != nil && e.HoldsWithout != nil {
-		return e.HoldsWithout(db, q, removed)
-	}
-	return HoldsWithoutNaive(db, q, removed)
-}
-
-// HoldsWithoutNaive is HoldsWithout on the naive reference evaluator:
-// enumerate every valuation, then filter. The differential harness uses
+// HoldsWithoutNaive reports whether q is true on db with the given
+// tuples removed, without mutating db, on the naive reference
+// evaluator: enumerate every valuation, then filter. The differential harness uses
 // it as the definitional oracle so witness validation stays independent
 // of the planned evaluator under test.
 func HoldsWithoutNaive(db *Database, q *Query, removed map[TupleID]bool) (bool, error) {

@@ -34,11 +34,11 @@ func chainQuery() *Query {
 func TestQuickHoldsIffValuations(t *testing.T) {
 	f := func(ri randInstance) bool {
 		q := chainQuery()
-		vals, err := Valuations(ri.DB, q)
+		vals, err := EvalNaive(ri.DB, q)
 		if err != nil {
 			return false
 		}
-		ok, err := Holds(ri.DB, q)
+		ok, err := HoldsNaive(ri.DB, q)
 		if err != nil {
 			return false
 		}
@@ -50,28 +50,22 @@ func TestQuickHoldsIffValuations(t *testing.T) {
 }
 
 // TestQuickWitnessesSatisfyAtoms: every valuation's witness tuples
-// actually match the atom patterns under the binding.
+// match the atom patterns, on the chain query and on one with a
+// constant and a repeated variable.
 func TestQuickWitnessesSatisfyAtoms(t *testing.T) {
+	queries := []*Query{
+		chainQuery(),
+		NewBoolean(NewAtom("R", V("x"), V("x")), NewAtom("S", V("x"), C("1"))),
+	}
 	f := func(ri randInstance) bool {
-		q := chainQuery()
-		vals, err := Valuations(ri.DB, q)
-		if err != nil {
-			return false
-		}
-		for _, v := range vals {
-			for ai, a := range q.Atoms {
-				tup := ri.DB.Tuple(v.Witness[ai])
-				if tup.Rel != a.Pred {
+		for _, q := range queries {
+			vals, err := EvalNaive(ri.DB, q)
+			if err != nil {
+				return false
+			}
+			for _, v := range vals {
+				if !witnessesAgree(ri.DB, q, v) {
 					return false
-				}
-				for i, tm := range a.Terms {
-					want := tm.Const
-					if tm.IsVar {
-						want = v.Binding[tm.Var]
-					}
-					if tup.Args[i] != want {
-						return false
-					}
 				}
 			}
 		}
@@ -80,6 +74,35 @@ func TestQuickWitnessesSatisfyAtoms(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// witnessesAgree reports whether v's witnesses, read off Tuple(id).Args,
+// satisfy q's atoms: each lies in its atom's relation and carries its
+// constants, and the witnesses agree on every variable, shared between
+// atoms or repeated within one.
+func witnessesAgree(db *Database, q *Query, v Valuation) bool {
+	if len(v.Witness) != len(q.Atoms) {
+		return false
+	}
+	binding := make(map[string]Value)
+	for ai, a := range q.Atoms {
+		tup := db.Tuple(v.Witness[ai])
+		if tup.Rel != a.Pred || len(tup.Args) != len(a.Terms) {
+			return false
+		}
+		for i, tm := range a.Terms {
+			want, bound := tm.Const, true
+			if tm.IsVar {
+				want, bound = binding[tm.Var]
+			}
+			if !bound {
+				binding[tm.Var] = tup.Args[i]
+			} else if tup.Args[i] != want {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestQuickRemovalMonotone: removing more tuples never makes a false
@@ -97,8 +120,8 @@ func TestQuickRemovalMonotone(t *testing.T) {
 		}
 		// big removes one extra tuple.
 		big[TupleID(int(mask)%ri.DB.NumTuples())] = true
-		okSmall, err1 := HoldsWithout(ri.DB, q, small)
-		okBig, err2 := HoldsWithout(ri.DB, q, big)
+		okSmall, err1 := HoldsWithoutNaive(ri.DB, q, small)
+		okBig, err2 := HoldsWithoutNaive(ri.DB, q, big)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -1,7 +1,7 @@
 // Package rel implements the relational substrate of the causality
 // library: named relations of constant tuples, databases partitioned into
-// endogenous and exogenous tuples, and conjunctive queries with their
-// evaluation to valuations (per-answer witness tuple lists).
+// endogenous and exogenous tuples, and conjunctive queries with the naive
+// reference evaluation of their valuations (per-atom witness tuple lists).
 //
 // The package follows Section 2 of Meliou et al. (VLDB 2010): a database
 // instance D is a set of tuples, each tagged endogenous (a potential
@@ -29,15 +29,15 @@
 // Database.Tuple and Database.Tuples build fresh Tuple values on each
 // call for callers that want a row as a struct.
 //
-// # Evaluation backends
+// # Evaluation
 //
-// Valuations, Holds, HoldsWithout and Answers delegate to the planned
-// streaming evaluator (internal/ra) whenever that package is linked into
-// the binary — importing it installs the backend via RegisterEvaluator.
-// The naive reference evaluator is permanently available as EvalNaive /
-// HoldsNaive / HoldsWithoutNaive so the differential harness
-// (internal/difftest) can compare the two forever; binaries that never
-// import internal/ra simply keep the naive backend for everything.
+// A Valuation is its witness list: one tuple ID per query atom. The
+// evaluator callers use is the planned streaming one in internal/ra
+// (ra.Valuations, ra.Holds, ra.HoldsWithout, ra.Answers), which
+// imports this package. This package keeps the naive reference
+// evaluator, EvalNaive / HoldsNaive / HoldsWithoutNaive, which the
+// differential harness (internal/difftest) and the oracles compare the
+// planned one against.
 //
 // # Mutation and versioning
 //

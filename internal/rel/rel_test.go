@@ -108,32 +108,6 @@ func TestClonePreservesIDsAndIndependence(t *testing.T) {
 	}
 }
 
-func TestAnswersExample22(t *testing.T) {
-	db := example22DB(t)
-	q := example22Query()
-	ans, err := Answers(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, a := range ans {
-		got = append(got, string(a.Values[0]))
-	}
-	want := []string{"a2", "a3", "a4"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("answers = %v, want %v", got, want)
-	}
-	// a4 has two valuations: R(a4,a3),S(a3) and R(a4,a2),S(a2).
-	for _, a := range ans {
-		if a.Values[0] == "a4" && len(a.Valuations) != 2 {
-			t.Errorf("a4 has %d valuations, want 2", len(a.Valuations))
-		}
-		if a.Values[0] == "a2" && len(a.Valuations) != 1 {
-			t.Errorf("a2 has %d valuations, want 1", len(a.Valuations))
-		}
-	}
-}
-
 func TestBindProducesBooleanQuery(t *testing.T) {
 	q := example22Query()
 	bq, err := q.Bind("a4")
@@ -147,12 +121,12 @@ func TestBindProducesBooleanQuery(t *testing.T) {
 		t.Fatalf("x not substituted: %v", bq.Atoms[0])
 	}
 	db := example22DB(t)
-	ok, err := Holds(db, bq)
+	ok, err := HoldsNaive(db, bq)
 	if err != nil || !ok {
 		t.Fatalf("q[a4] should hold: ok=%v err=%v", ok, err)
 	}
 	bq2, _ := q.Bind("a1")
-	ok, _ = Holds(db, bq2)
+	ok, _ = HoldsNaive(db, bq2)
 	if ok {
 		t.Error("q[a1] should not hold (a5 not in S)")
 	}
@@ -169,7 +143,7 @@ func TestValuationsWitnesses(t *testing.T) {
 	db := example22DB(t)
 	q := example22Query()
 	bq, _ := q.Bind("a4")
-	vals, err := Valuations(db, bq)
+	vals, err := EvalNaive(db, bq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,18 +172,23 @@ func TestValuationsConstantsAndRepeatedVars(t *testing.T) {
 	db.MustAdd("R", true, "a4", "a2")
 	// q :- R(x,x): only (a3,a3) matches.
 	q := NewBoolean(NewAtom("R", V("x"), V("x")))
-	vals, err := Valuations(db, q)
+	vals, err := EvalNaive(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != 1 || vals[0].Binding["x"] != "a3" {
+	if len(vals) != 1 || !witnessesAgree(db, q, vals[0]) || db.Tuple(vals[0].Witness[0]).Args[0] != "a3" {
 		t.Fatalf("R(x,x) valuations = %v", vals)
 	}
 	// q :- R(x,'a3'): two matches.
 	q2 := NewBoolean(NewAtom("R", V("x"), C("a3")))
-	vals2, _ := Valuations(db, q2)
+	vals2, _ := EvalNaive(db, q2)
 	if len(vals2) != 2 {
 		t.Fatalf("R(x,'a3') has %d valuations, want 2", len(vals2))
+	}
+	for _, v := range vals2 {
+		if !witnessesAgree(db, q2, v) {
+			t.Errorf("R(x,'a3') witness %v does not carry the constant", v.Witness)
+		}
 	}
 }
 
@@ -217,7 +196,7 @@ func TestHoldsMissingRelation(t *testing.T) {
 	db := NewDatabase()
 	db.MustAdd("R", true, "a")
 	q := NewBoolean(NewAtom("R", V("x")), NewAtom("Missing", V("x")))
-	ok, err := Holds(db, q)
+	ok, err := HoldsNaive(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +216,14 @@ func TestHoldsWithout(t *testing.T) {
 			sa1 = tup.ID
 		}
 	}
-	ok, err := HoldsWithout(db, bq, map[TupleID]bool{sa1: true})
+	ok, err := HoldsWithoutNaive(db, bq, map[TupleID]bool{sa1: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("q[a2] should be false without S(a1)")
 	}
-	ok, _ = HoldsWithout(db, bq, nil)
+	ok, _ = HoldsWithoutNaive(db, bq, nil)
 	if !ok {
 		t.Error("q[a2] should hold with no removals")
 	}
@@ -283,23 +262,6 @@ func TestValidate(t *testing.T) {
 	bad2 := NewBoolean(NewAtom("S", V("x"), V("y")))
 	if err := bad2.Validate(db); err == nil {
 		t.Error("expected arity error")
-	}
-}
-
-func TestAnswersDeterministicOrder(t *testing.T) {
-	db := example22DB(t)
-	q := example22Query()
-	first, _ := Answers(db, q)
-	for i := 0; i < 5; i++ {
-		again, _ := Answers(db, q)
-		if len(again) != len(first) {
-			t.Fatal("nondeterministic answer count")
-		}
-		for j := range again {
-			if again[j].Values[0] != first[j].Values[0] {
-				t.Fatal("nondeterministic answer order")
-			}
-		}
 	}
 }
 
@@ -355,41 +317,6 @@ func TestConcurrentCodeIndexBuild(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestConcurrentEvaluationSharedDB: two engines evaluating over the
-// same frozen database concurrently (the explanation server's session
-// pattern) must agree and not race on index construction.
-func TestConcurrentEvaluationSharedDB(t *testing.T) {
-	db := NewDatabase()
-	for i := 0; i < 50; i++ {
-		db.MustAdd("R", true, Value(fmt.Sprintf("x%d", i%7)), Value(fmt.Sprintf("y%d", i%11)))
-		db.MustAdd("S", false, Value(fmt.Sprintf("y%d", i%11)), Value(fmt.Sprintf("z%d", i%5)))
-	}
-	q := NewBoolean(
-		NewAtom("R", V("x"), V("y")),
-		NewAtom("S", V("y"), V("z")),
-	)
-	var wg sync.WaitGroup
-	counts := make([]int, 8)
-	errs := make([]error, 8)
-	for g := range counts {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			vals, err := Valuations(db, q)
-			counts[g], errs[g] = len(vals), err
-		}(g)
-	}
-	wg.Wait()
-	for g := range counts {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
-		}
-		if counts[g] != counts[0] {
-			t.Fatalf("goroutine %d found %d valuations, goroutine 0 found %d", g, counts[g], counts[0])
 		}
 	}
 }

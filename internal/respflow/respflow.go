@@ -49,12 +49,12 @@
 package respflow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"github.com/querycause/querycause/internal/flow"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 	"github.com/querycause/querycause/internal/shape"
 )
@@ -117,8 +117,9 @@ type edge struct {
 // Build constructs the network for Boolean query q over db, using the
 // weakened shape ws (atom i of ws corresponds to q.Atoms[i]) and the
 // linear atom order, and solves each component's base flow. ws must
-// come from shape.FromQuery(q, …) possibly weakened, so that
-// ws.VarNames maps shape variable ids to q's variable names.
+// come from shape.FromQuery(q, …), possibly weakened, or from a query
+// that differs from q only in its variable names: shape variable v is
+// q's v-th distinct variable in order of first occurrence.
 func Build(db *rel.Database, q *rel.Query, ws *shape.Shape, order []int) (*Network, error) {
 	l, err := layOut(db, q, ws, order)
 	if err != nil {
@@ -153,93 +154,120 @@ func layOut(db *rel.Database, q *rel.Query, ws *shape.Shape, order []int) (*layo
 	if err := checkConsecutive(ws, order); err != nil {
 		return nil, err
 	}
-	vals, err := rel.Valuations(db, q)
+	vals, err := ra.Valuations(db, q)
 	if err != nil {
 		return nil, err
 	}
-	m := len(order)
-	// Interface variable name lists: ifaceVars[i] is between position
-	// i-1 and i (0 and m are empty).
-	ifaceVars := make([][]string, m+1)
-	for i := 1; i < m; i++ {
-		prev, cur := ws.Atoms[order[i-1]], ws.Atoms[order[i]]
-		var names []string
-		for _, v := range prev.Vars {
-			if cur.HasVar(v) {
-				names = append(names, shapeVarName(ws, v))
+	// where[v] locates shape variable v at its first occurrence in q: the
+	// atom whose witness binds it, and the column holding it. Variables
+	// are numbered by first occurrence, as shape.FromQuery numbers them,
+	// so a shape built from any query that differs from q only in its
+	// variable names lays out the same network. Any occurrence would do,
+	// since a valuation's witnesses agree on every variable.
+	var where []column
+	ids := make(map[string]int)
+	for ai, a := range q.Atoms {
+		for c, t := range a.Terms {
+			if _, ok := ids[t.Var]; t.IsVar && !ok {
+				ids[t.Var] = len(where)
+				where = append(where, column{ai, c})
 			}
 		}
-		sort.Strings(names)
-		ifaceVars[i] = names
+	}
+	m := len(order)
+	// ifaces[i] locates the variables of the interface between positions
+	// i-1 and i (0 and m are empty).
+	ifaces := make([][]column, m+1)
+	for i := 1; i < m; i++ {
+		prev, cur := ws.Atoms[order[i-1]], ws.Atoms[order[i]]
+		for _, v := range prev.Vars {
+			if !cur.HasVar(v) {
+				continue
+			}
+			if v >= len(where) {
+				return nil, fmt.Errorf("respflow: shape variable %s is not a variable of query %s", shapeVarName(ws, v), q)
+			}
+			ifaces[i] = append(ifaces[i], where[v])
+		}
 	}
 
 	l := &layout{vertices: 2, protectSets: make(map[rel.TupleID][][]rel.TupleID)}
-	nodeIDs := make(map[string]int32)
-	nodeAt := func(layer int, key string) int32 {
-		if layer == 0 {
-			return 0
-		}
-		if layer == m {
-			return 1
-		}
-		k := fmt.Sprintf("%d|%s", layer, key)
-		id, ok := nodeIDs[k]
-		if !ok {
-			id = int32(l.vertices)
-			l.vertices++
-			nodeIDs[k] = id
-		}
-		return id
+	// Vertex i of a valuation's path is numbered by the codes of its
+	// projection on interface i, in order of first appearance.
+	nodeIDs := make([]map[string]int32, m)
+	for i := range nodeIDs {
+		nodeIDs[i] = make(map[string]int32)
 	}
-	seenEdges := make(map[string]bool)
-	protDedup := make(map[rel.TupleID]map[string]bool)
+	verts := make([]int32, m+1)
+	verts[m] = 1
+	seenEdges := make(map[edge]bool)
+	seenSets := make(map[string]bool)
+	var key []byte
+	var codes []uint32
+	var set []rel.TupleID
 
 	for _, val := range vals {
-		var endoOnPath []rel.TupleID
+		for i := 1; i < m; i++ {
+			key = key[:0]
+			for _, c := range ifaces[i] {
+				codes = db.AppendCodes(codes[:0], val.Witness[c.atom])
+				key = binary.LittleEndian.AppendUint32(key, codes[c.col])
+			}
+			id, ok := nodeIDs[i][string(key)]
+			if !ok {
+				id = int32(l.vertices)
+				l.vertices++
+				nodeIDs[i][string(key)] = id
+			}
+			verts[i] = id
+		}
+		set = set[:0]
 		for pos := 0; pos < m; pos++ {
 			ai := order[pos]
 			id := val.Witness[ai]
-			left := nodeAt(pos, project(val.Binding, ifaceVars[pos]))
-			right := nodeAt(pos+1, project(val.Binding, ifaceVars[pos+1]))
+			// An edge is deduped on its endpoints and tuple: a tuple of
+			// an endogenous atom always projects to the same endpoints; a
+			// tuple of a dissociated atom gets one virtual edge per
+			// distinct endpoint pair; the exogenous tuples joining two
+			// vertices merge into one ∞ edge.
+			e := edge{verts[pos], verts[pos+1], flow.Inf, -1}
 			if db.Endo(id) {
-				endoOnPath = append(endoOnPath, id)
-				cap_ := int64(1)
-				if !ws.Atoms[ai].Endo {
-					cap_ = flow.Inf
+				set = append(set, id)
+				if e.tuple = id; ws.Atoms[ai].Endo {
+					e.cap = 1
 				}
-				// Dedupe per (tuple, endpoints): a tuple of an endogenous
-				// atom always projects to the same endpoints; a tuple of a
-				// dissociated atom gets one virtual edge per distinct
-				// endpoint pair.
-				k := fmt.Sprintf("t%d|%d|%d", id, left, right)
-				if !seenEdges[k] {
-					seenEdges[k] = true
-					l.edges = append(l.edges, edge{left, right, cap_, id})
-				}
-			} else {
-				k := fmt.Sprintf("x%d|%d|%d", pos, left, right)
-				if !seenEdges[k] {
-					seenEdges[k] = true
-					l.edges = append(l.edges, edge{left, right, flow.Inf, -1})
-				}
+			}
+			if !seenEdges[e] {
+				seenEdges[e] = true
+				l.edges = append(l.edges, e)
 			}
 		}
 		// Record this valuation's endogenous tuple set as a protect-set
-		// for each of its endogenous tuples.
-		set := append([]rel.TupleID(nil), endoOnPath...)
-		sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-		key := tupleSetKey(set)
+		// for each of its endogenous tuples. A set is recorded for all
+		// its tuples at once, so one seen-set per network dedupes it.
+		slices.Sort(set)
+		key = key[:0]
 		for _, id := range set {
-			if protDedup[id] == nil {
-				protDedup[id] = make(map[string]bool)
-			}
-			if !protDedup[id][key] {
-				protDedup[id][key] = true
-				l.protectSets[id] = append(l.protectSets[id], set)
+			key = binary.LittleEndian.AppendUint64(key, uint64(id))
+		}
+		if seenSets[string(key)] {
+			continue
+		}
+		seenSets[string(key)] = true
+		ps := slices.Clone(set)
+		for i, id := range ps {
+			if i == 0 || ps[i-1] != id {
+				l.protectSets[id] = append(l.protectSets[id], ps)
 			}
 		}
 	}
 	return l, nil
+}
+
+// column locates a query variable in a valuation's witnesses: the atom
+// and the column of its witness.
+type column struct {
+	atom, col int
 }
 
 // split partitions the network into its components, numbered in the
@@ -328,25 +356,6 @@ func shapeVarName(ws *shape.Shape, v int) string {
 		return ws.VarNames[v]
 	}
 	return fmt.Sprintf("v%d", v)
-}
-
-func project(binding map[string]rel.Value, vars []string) string {
-	if len(vars) == 0 {
-		return ""
-	}
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		parts[i] = string(binding[v])
-	}
-	return strings.Join(parts, "\x00")
-}
-
-func tupleSetKey(set []rel.TupleID) string {
-	var b strings.Builder
-	for _, id := range set {
-		fmt.Fprintf(&b, "%d,", id)
-	}
-	return b.String()
 }
 
 // checkConsecutive validates that each variable's atoms form a

@@ -6,6 +6,7 @@ import (
 
 	"github.com/querycause/querycause/internal/exact"
 	"github.com/querycause/querycause/internal/lineage"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 	"github.com/querycause/querycause/internal/rewrite"
 	"github.com/querycause/querycause/internal/shape"
@@ -183,7 +184,7 @@ func TestDissociationWeakenedQuery(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			db.MustAdd("T", true, dom[rng.Intn(3)], dom[rng.Intn(3)])
 		}
-		ok, err := rel.Holds(db, q)
+		ok, err := ra.Holds(db, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func TestChainQueryRandom(t *testing.T) {
 				db.MustAdd(relName, rng.Intn(4) != 0, dom[rng.Intn(3)], dom[rng.Intn(3)])
 			}
 		}
-		ok, err := rel.Holds(db, q)
+		ok, err := ra.Holds(db, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,6 +269,13 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(db, q3, s, []int{0, 1}); err == nil {
 		t.Error("expected atom-count mismatch error")
 	}
+	// A shape joining on a variable the query does not have.
+	extra := s.Clone()
+	extra.Atoms[0].Vars = append(extra.Atoms[0].Vars, 3)
+	extra.Atoms[1].Vars = append(extra.Atoms[1].Vars, 3)
+	if _, err := Build(db, q, extra, []int{0, 1}); err == nil {
+		t.Error("expected unknown-variable error")
+	}
 }
 
 // TestMixedEndoExoWithinRelation: exogenous tuples inside an endogenous
@@ -294,4 +302,87 @@ func TestMixedEndoExoWithinRelation(t *testing.T) {
 		t.Errorf("ρ(S(b,c)) = %v, want 1", rho)
 	}
 	checkAgainstBruteForce(t, db, q)
+}
+
+// TestTwoVariableInterface: R(x,y), S(x,y,z), T(z) meets its first
+// interface on two variables, so those vertices are keyed by a pair of
+// codes. The network has s, t and one vertex per distinct projection of
+// a valuation on each interface, and every contingency it finds is a
+// minimum one.
+func TestTwoVariableInterface(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	q := rel.NewBoolean(
+		rel.NewAtom("R", rel.V("x"), rel.V("y")),
+		rel.NewAtom("S", rel.V("x"), rel.V("y"), rel.V("z")),
+		rel.NewAtom("T", rel.V("z")),
+	)
+	ws := shape.FromQuery(q, func(string) bool { return true })
+	dom := []rel.Value{"0", "1", "2"}
+	v := func() rel.Value { return dom[rng.Intn(len(dom))] }
+	built := 0
+	for trial := 0; trial < 40; trial++ {
+		db := rel.NewDatabase()
+		for i := 0; i < 6; i++ {
+			db.MustAdd("R", rng.Intn(4) != 0, v(), v())
+		}
+		for i := 0; i < 8; i++ {
+			db.MustAdd("S", rng.Intn(4) != 0, v(), v(), v())
+		}
+		for i := 0; i < 3; i++ {
+			db.MustAdd("T", rng.Intn(4) != 0, v())
+		}
+		vals, err := ra.Valuations(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vals) == 0 {
+			continue
+		}
+		net, err := Build(db, q, ws, []int{0, 1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		built++
+		xy := make(map[[2]rel.Value]bool)
+		z := make(map[rel.Value]bool)
+		for _, val := range vals {
+			r := db.Tuple(val.Witness[0]).Args
+			xy[[2]rel.Value{r[0], r[1]}] = true
+			z[db.Tuple(val.Witness[2]).Args[0]] = true
+		}
+		if got, _ := net.Stats(); got != 2+len(xy)+len(z) {
+			t.Errorf("trial %d: %d vertices, want 2 + %d (x,y) + %d z\ndb:\n%v", trial, got, len(xy), len(z), db)
+		}
+		n, err := lineage.NLineageOf(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range db.EndoIDs() {
+			got, gotOK := net.Contingency(id)
+			want, wantOK := exact.MinContingencySet(n, id)
+			if n.True {
+				wantOK = false
+			}
+			if gotOK != wantOK || len(got) != len(want) {
+				t.Errorf("trial %d, tuple %v: flow %v (%v), exact %v (%v)\ndb:\n%v", trial, db.Tuple(id), got, gotOK, want, wantOK, db)
+				continue
+			}
+			if !gotOK {
+				continue
+			}
+			removed := make(map[rel.TupleID]bool)
+			for _, g := range got {
+				removed[g] = true
+			}
+			on, _ := ra.HoldsWithout(db, q, removed)
+			removed[id] = true
+			off, _ := ra.HoldsWithout(db, q, removed)
+			if !on || off {
+				t.Errorf("trial %d, tuple %v: %v is no contingency (holds without it: %v, also without the tuple: %v)", trial, db.Tuple(id), got, on, off)
+			}
+		}
+	}
+	if built == 0 {
+		t.Fatal("no instance satisfied the query")
+	}
 }

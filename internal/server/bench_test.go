@@ -16,7 +16,7 @@ import (
 
 	"github.com/querycause/querycause/internal/imdb"
 	"github.com/querycause/querycause/internal/parser"
-	"github.com/querycause/querycause/internal/rel"
+	"github.com/querycause/querycause/internal/ra"
 )
 
 func benchServer(b *testing.B, cfg Config) (*Server, *httptest.Server) {
@@ -71,7 +71,7 @@ func BenchmarkServerExplain(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := imdb.GenreQuery()
-	answers, err := rel.Answers(db, q)
+	answers, err := ra.Answers(db, q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func BenchmarkServerConcurrentSessions(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := imdb.GenreQuery()
-	answers, err := rel.Answers(db, q)
+	answers, err := ra.Answers(db, q)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,6 +24,7 @@ import (
 
 	"github.com/querycause/querycause/internal/lineage"
 	"github.com/querycause/querycause/internal/qerr"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 )
 
@@ -39,14 +40,14 @@ func CheckInstance(db *rel.Database, q *rel.Query) error {
 	for _, id := range db.EndoIDs() {
 		removedEndo[id] = true
 	}
-	onDx, err := rel.HoldsWithout(db, q, removedEndo)
+	onDx, err := ra.HoldsWithout(db, q, removedEndo)
 	if err != nil {
 		return err
 	}
 	if onDx {
 		return qerr.Tag(qerr.ErrInvalidWhyNo, fmt.Errorf("whyno: %s already holds on the real database; it is not a non-answer", q.Name))
 	}
-	onAll, err := rel.Holds(db, q)
+	onAll, err := ra.Holds(db, q)
 	if err != nil {
 		return err
 	}

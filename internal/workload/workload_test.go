@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/querycause/querycause/internal/lineage"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 )
 
@@ -14,7 +15,7 @@ func TestGeneratorsProduceCauses(t *testing.T) {
 		"triangleExoS": TriangleExoS, "star": Star,
 	} {
 		db, q, target := g(1, 12)
-		holds, err := rel.Holds(db, q)
+		holds, err := ra.Holds(db, q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/querycause/querycause/internal/datalog"
 	"github.com/querycause/querycause/internal/lineage"
 	"github.com/querycause/querycause/internal/parser"
+	"github.com/querycause/querycause/internal/ra"
 	"github.com/querycause/querycause/internal/rel"
 	"github.com/querycause/querycause/internal/rewrite"
 	"github.com/querycause/querycause/internal/shape"
@@ -104,9 +105,10 @@ func ParseQuery(s string) (*Query, error) { return parser.ParseQuery(s) }
 // "-R(a,b)" exogenous, '#' comments).
 func ParseDatabase(r io.Reader) (*Database, error) { return parser.ParseDatabase(r) }
 
-// Answers evaluates a non-Boolean query and groups valuations by head
-// value.
-func Answers(db *Database, q *Query) ([]rel.Answer, error) { return rel.Answers(db, q) }
+// Answers evaluates a non-Boolean query and groups its valuations,
+// each a list of witness tuple IDs, by head value, in order of the
+// head values.
+func Answers(db *Database, q *Query) ([]rel.Answer, error) { return ra.Answers(db, q) }
 
 // CausesFO computes the causes of a Boolean query with the generated
 // stratified Datalog¬ program of Theorem 3.4 (rather than through the
