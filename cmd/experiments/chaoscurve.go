@@ -2,14 +2,18 @@
 // the mixed load-generator traffic plus live watch streams through it
 // behind a fault-injecting transport (dropped connections, latency,
 // 503 bursts, truncated watch frames), and change the membership under
-// load — join a fourth node mid-run, then decommission and kill one of
-// the originals. Every session crossing an ownership boundary rides
-// the handoff protocol; every watch stream broken by a fault or a
-// handoff reconnects with resume_from. The soak demands zero
-// unrecovered failures, epoch convergence on every survivor, and — the
-// payoff — that each watch's folded frame replay is byte-identical to
-// a cold ranking asked of the final owner. Records the run in
-// BENCH_chaos.json:
+// load — join a fourth node mid-run, decommission and kill one of the
+// originals, then hard-close a survivor and warm-restart it on the
+// same address over its own persist directory. Every session crossing
+// an ownership boundary rides the handoff protocol; every watch stream
+// broken by a fault, a handoff or the restart reconnects with
+// resume_from; one target always enters at the wrong node and rides
+// the 307 to a prepared query on the restarted replica. The soak
+// demands zero unrecovered failures, epoch convergence on every
+// survivor, a warm restore that finished while the load still ran,
+// and — the payoff — that each watch's folded frame replay is
+// byte-identical to a cold ranking asked of the final owner. Records
+// the run, with the measured warm-restart time, in BENCH_chaos.json:
 //
 //	experiments -run chaoscurve [-chaos-out BENCH_chaos.json]
 package main
@@ -26,13 +30,15 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	qc "github.com/querycause/querycause"
+	"github.com/querycause/querycause/internal/cluster"
 	"github.com/querycause/querycause/internal/faultinject"
+	"github.com/querycause/querycause/internal/persist"
 	"github.com/querycause/querycause/internal/server"
 	"github.com/querycause/querycause/internal/workload"
 )
@@ -53,6 +59,80 @@ const chaosWatches = 4
 // client in the soak (the same budget the fault-injected differential
 // sweep runs with).
 const chaosRetries = 8
+
+// soakRetries bounds how long one request chases a killed replica:
+// retries * soakBackoff must comfortably cover the restart window.
+const (
+	soakRetries = 120
+	soakBackoff = 50 * time.Millisecond
+)
+
+type replica struct {
+	url string
+	dir string
+	srv *server.Server
+	hs  *http.Server
+}
+
+// bootReplica starts node self of a ring over peers on ln, restoring
+// any snapshots already in dir, and returns how long server
+// construction (including restore) took — the warm-restart metric.
+func bootReplica(ln net.Listener, self string, peers []string, dir string) (*replica, time.Duration, error) {
+	st, err := persist.Open(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	t0 := time.Now()
+	srv := server.New(server.Config{
+		ReapInterval:    -1,
+		MaxSessions:     128,
+		Self:            self,
+		Peers:           peers,
+		Persist:         st,
+		PersistInterval: 100 * time.Millisecond,
+	})
+	boot := time.Since(t0)
+	hs := &http.Server{Handler: srv.Handler()}
+	go hs.Serve(ln)
+	return &replica{url: self, dir: dir, srv: srv, hs: hs}, boot, nil
+}
+
+// restartReplica hard-closes rep (its connections drop mid-request;
+// only the write-behind's final flush runs), rebinds its address, and
+// boots it again over its own persist dir with the ring's current
+// membership. A rebooted node starts at epoch 1, so it is then handed
+// the current topology the way a membership change pushes it.
+func restartReplica(ctx context.Context, rep *replica, topo qc.ClusterInfo) (*replica, time.Duration, error) {
+	rep.hs.Close()
+	rep.srv.Close()
+	time.Sleep(50 * time.Millisecond) // let in-flight requests hit the dead node
+	addr := strings.TrimPrefix(rep.url, "http://")
+	var ln net.Listener
+	var err error
+	for i := 0; i < 200; i++ {
+		if ln, err = net.Listen("tcp", addr); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("rebinding %s: %w", addr, err)
+	}
+	next, boot, err := bootReplica(ln, rep.url, topo.Peers, rep.dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	body, _ := json.Marshal(cluster.Topology{Epoch: topo.Epoch, Nodes: topo.Peers})
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPut, rep.url+"/v1/cluster/topology", bytes.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err == nil {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("installing epoch %d on %s: status %d", topo.Epoch, rep.url, resp.StatusCode)
+		}
+	}
+	return next, boot, err
+}
 
 // chaosWatch is the folded-state ledger of one live watch: the watcher
 // goroutine applies every frame it receives and records the version it
@@ -122,7 +202,11 @@ type chaosBench struct {
 	HandoffsIn   uint64 `json:"handoffs_in"`
 	HandoffFails uint64 `json:"handoff_fails"`
 	Redirected   uint64 `json:"cluster_redirected"`
-	Restored     uint64 `json:"restored_sessions"`
+
+	// WarmRestartMS is server.New over the restarted node's persist
+	// dir (restore included); Restored counts the sessions it restored.
+	WarmRestartMS float64 `json:"warm_restart_ms"`
+	Restored      uint64  `json:"restored_sessions"`
 
 	Watches          int    `json:"watches"`
 	WatchFrames      uint64 `json:"watch_frames"`
@@ -141,7 +225,7 @@ type chaosBench struct {
 }
 
 func chaosCurve() {
-	header(fmt.Sprintf("Chaos soak: join + decommission under %d clients x %d requests, %d live watches, faults injected",
+	header(fmt.Sprintf("Chaos soak: join + decommission + warm restart under %d clients x %d requests, %d live watches, faults injected",
 		*chaosClients, *chaosRequests, chaosWatches))
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Minute)
 	defer cancel()
@@ -151,33 +235,27 @@ func chaosCurve() {
 	const n = 3
 	lns := make([]net.Listener, n+1)
 	urls := make([]string, n+1)
+	dirs := make([]string, n+1)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatalf("listen: %v", err)
 		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	mkdir := func() string {
 		dir, err := os.MkdirTemp("", "querycause-chaos-*")
 		if err != nil {
 			log.Fatal(err)
 		}
-		return dir
+		defer os.RemoveAll(dir)
+		lns[i], urls[i], dirs[i] = ln, "http://"+ln.Addr().String(), dir
 	}
 	reps := make([]*replica, n+1)
 	for i := 0; i < n; i++ {
-		dir := mkdir()
-		defer os.RemoveAll(dir)
-		rep, _, err := bootReplica(lns[i], urls[:n], i, dir)
+		rep, _, err := bootReplica(lns[i], urls[i], urls[:n], dirs[i])
 		if err != nil {
 			log.Fatalf("booting replica %d: %v", i, err)
 		}
 		reps[i] = rep
 	}
-	dir3 := mkdir()
-	defer os.RemoveAll(dir3)
 	defer func() {
 		for _, r := range reps {
 			if r != nil {
@@ -202,7 +280,7 @@ func chaosCurve() {
 	faulted := func(base string) *qc.Client {
 		c := qc.NewClient(base, hc)
 		c.SetRetries(chaosRetries)
-		// Failover only onto the two nodes that survive the whole run.
+		// Failover only onto the two addresses in the ring the whole run.
 		c.SetFallbacks([]string{urls[0], urls[2]})
 		return c
 	}
@@ -220,6 +298,36 @@ func chaosCurve() {
 		log.Fatalf("preparing workloads: %v", err)
 	}
 	defer cleanup()
+
+	// One target that never routes itself: a session uploaded at node 2
+	// (minting makes node 2 its owner), with a prepared query, always
+	// explained through node 0 on a clean client, so every call rides
+	// the 307. Node 2 is the replica that gets restarted, so the prepared
+	// query must keep answering, same ids, once it is restored from disk.
+	// The session must stay node 2's while node 3 joins and node 1
+	// leaves: re-upload until its id hashes onto node 2 in those rings.
+	pinDB, pinQuery, _ := workload.Chain2(9, 12)
+	c2 := qc.NewClient(urls[2], nil)
+	grown, shrunk := cluster.New(urls), cluster.New([]string{urls[0], urls[2], urls[n]})
+	var pin qc.DatabaseInfo
+	for pin.ID == "" || grown.Owner(pin.ID) != urls[2] || shrunk.Owner(pin.ID) != urls[2] {
+		if pin.ID != "" {
+			_ = c2.DropDatabase(ctx, pin.ID)
+		}
+		if pin, err = c2.UploadDB(ctx, pinDB); err != nil {
+			log.Fatalf("pinning a session to node 2: %v", err)
+		}
+	}
+	pinQ, err := c2.PrepareQuery(ctx, pin.ID, pinQuery.String())
+	if err != nil {
+		log.Fatalf("preparing the pinned query: %v", err)
+	}
+	c0 := qc.NewClient(urls[0], nil)
+	explainPinned := func(ctx context.Context) error {
+		_, err := c0.WhySo(ctx, pin.ID, pinQ.ID, qc.ExplainRequest{})
+		return err
+	}
+	targets = append(targets, loadTarget{name: "whyso-redirect", fire: explainPinned})
 
 	// The watched sessions: chain instances small enough to re-rank on
 	// every mutation. Even-numbered ones are uploaded at node 1 — the
@@ -343,27 +451,32 @@ func chaosCurve() {
 		}(i, w)
 	}
 
-	// The chaos controller: at a third of the load, boot a fourth
+	// The chaos controller: at a fifth of the load, boot a fourth
 	// replica as a single-node cluster and join it through the admin
 	// endpoint (the join propagates the new epoch to it and rebalances
-	// sessions onto it); at two thirds, decommission node 1 — remove it
+	// sessions onto it); at two fifths, decommission node 1 — remove it
 	// from the ring while it is still serving, wait for its sessions to
-	// hand off, then kill the process half.
+	// hand off, then kill the process half — and then hard-close node 2
+	// and warm-restart it while the rest of the load still runs.
 	var (
 		done        atomic.Int64
 		joinEpoch   uint64
 		removeEpoch uint64
 		node1Stats  qc.ServerStats
+		node2Stats  qc.ServerStats // node 2's counters before its restart
 		drained     bool
+		warmRestart time.Duration
+		restored    uint64
+		restartedAt time.Time
 		chaosDone   = make(chan struct{})
 	)
 	total := *chaosClients * *chaosRequests
 	go func() {
 		defer close(chaosDone)
-		for done.Load() < int64(total)/3 {
+		for done.Load() < int64(total)/5 {
 			time.Sleep(5 * time.Millisecond)
 		}
-		rep, _, err := bootReplica(lns[n], urls[n:n+1], 0, dir3)
+		rep, _, err := bootReplica(lns[n], urls[n], urls[n:n+1], dirs[n])
 		if err != nil {
 			log.Fatalf("chaos: booting joiner: %v", err)
 		}
@@ -376,7 +489,7 @@ func chaosCurve() {
 		log.Printf("chaos: joined %s at epoch %d (%d nodes, %d peers notified)",
 			urls[n], ch.Epoch, len(ch.Nodes), ch.PeersNotified)
 
-		for done.Load() < 2*int64(total)/3 {
+		for done.Load() < 2*int64(total)/5 {
 			time.Sleep(5 * time.Millisecond)
 		}
 		ch, err = admin.RemoveNode(ctx, urls[1])
@@ -406,50 +519,33 @@ func chaosCurve() {
 		reps[1].srv.Close()
 		reps[1] = nil
 		log.Printf("chaos: killed %s (drained=%v, handed off %d sessions)", urls[1], drained, node1Stats.HandoffsOut)
+
+		topo, err := admin.Cluster(ctx)
+		if err != nil {
+			log.Fatalf("chaos: topology: %v", err)
+		}
+		if node2Stats, err = qc.NewClient(urls[2], nil).Stats(ctx); err != nil {
+			log.Fatalf("chaos: stats %s: %v", urls[2], err)
+		}
+		rep, warmRestart, err = restartReplica(ctx, reps[2], topo)
+		if err != nil {
+			log.Fatalf("chaos: restarting %s: %v", urls[2], err)
+		}
+		reps[2], restored, restartedAt = rep, rep.srv.Restored(), time.Now()
+		log.Printf("chaos: restarted %s in %v (%d sessions restored warm)", urls[2], warmRestart, restored)
 	}()
 
 	// The load: every request retried at the soak level until it
 	// succeeds or the retry budget is gone — only the latter counts as
 	// an unrecovered failure.
-	var (
-		wg       sync.WaitGroup
-		failures atomic.Int64
-		retries  atomic.Int64
-		latMu    sync.Mutex
-		lats     []time.Duration
-	)
 	start := time.Now()
-	for g := 0; g < *chaosClients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < *chaosRequests; i++ {
-				t := targets[(g+i)%len(targets)]
-				ok := false
-				for attempt := 0; attempt < soakRetries; attempt++ {
-					t0 := time.Now()
-					if err := t.fire(ctx); err != nil {
-						retries.Add(1)
-						time.Sleep(soakBackoff)
-						continue
-					}
-					latMu.Lock()
-					lats = append(lats, time.Since(t0))
-					latMu.Unlock()
-					ok = true
-					break
-				}
-				if !ok {
-					failures.Add(1)
-					log.Printf("chaos: client %d %s: unrecovered after %d attempts", g, t.name, soakRetries)
-				}
-				done.Add(1)
-			}
-		}(g)
-	}
-	wg.Wait()
+	lats, failures, retries := drive(ctx, targets, *chaosClients, *chaosRequests, soakRetries, &done)
 	elapsed := time.Since(start)
 	<-chaosDone
+	restartedInLoad := restartedAt.Before(start.Add(elapsed))
+	// The pinned prepared query answers through node 0 on the restored
+	// node, whichever way the load's rounds fell.
+	pinErr := explainPinned(ctx)
 
 	// Quiesce: stop the mutators, disarm the injector, and push one
 	// clean sentinel mutation per watch so every stream has a final
@@ -499,21 +595,21 @@ func chaosCurve() {
 		}
 	}
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	counters := inj.Counters()
 	bench := chaosBench{
 		Bench: "chaos", GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(),
 		NodesStart: n, NodesEnd: n, // 3 → join → 4 → remove → 3
 		Clients: *chaosClients, RequestsPerClient: *chaosRequests, Requests: total,
-		Failures: failures.Load(), MutationFailures: mutFailures.Load(),
+		Failures: failures, MutationFailures: mutFailures.Load(),
 		WatchFailures: watchFailures.Load() + int64(syncFailures), ReplayMismatches: mismatches,
-		Retries:       retries.Load(),
+		Retries:       retries,
 		ThroughputRPS: float64(len(lats)) / elapsed.Seconds(),
 		JoinEpoch:     joinEpoch, RemoveEpoch: removeEpoch,
+		WarmRestartMS: float64(warmRestart.Microseconds()) / 1000, Restored: restored,
 		Watches: len(watches), Mutations: mutations.Load(),
 		FaultDrops: counters.Drops, FaultDelays: counters.Delays,
 		FaultErrors: counters.Errors, FaultTruncations: counters.Truncations,
-		Note: "in-process ring 3→4→3 under fault injection; latencies are successful load attempts only; watch replays asserted byte-equal to cold rankings after quiesce",
+		Note: "in-process ring 3→4→3 under fault injection, then one survivor hard-closed and warm-restarted; latencies are successful load attempts only; warm_restart_ms is server.New over the restarted node's persist dir (restore included); watch replays asserted byte-equal to cold rankings after quiesce",
 		Command: fmt.Sprintf("experiments -run chaoscurve -chaos-clients %d -chaos-requests %d -chaos-seed %d",
 			*chaosClients, *chaosRequests, *chaosSeed),
 	}
@@ -527,36 +623,36 @@ func chaosCurve() {
 		bench.WatchErrorFrames += cw.errFrames.Load()
 		bench.WatchResumes += cw.outerResumes.Load()
 	}
-	// Node 1's counters were captured just before the kill; the
-	// survivors answer live. Every survivor must have converged on the
-	// removal epoch.
-	bench.HandoffsOut, bench.HandoffsIn = node1Stats.HandoffsOut, node1Stats.HandoffsIn
-	bench.HandoffFails = node1Stats.HandoffFails
-	bench.Redirected = node1Stats.ClusterRedirected
-	bench.Restored = node1Stats.RestoredSessions
+	// Node 1's counters and node 2's first incarnation's were captured
+	// just before each went down; the survivors answer live. Every
+	// survivor must have converged on the removal epoch.
 	epochLag := 0
+	all := []qc.ServerStats{node1Stats, node2Stats}
 	for _, u := range []string{urls[0], urls[2], urls[n]} {
 		st, err := qc.NewClient(u, nil).Stats(ctx)
 		if err != nil {
 			log.Fatalf("stats %s: %v", u, err)
 		}
-		bench.HandoffsOut += st.HandoffsOut
-		bench.HandoffsIn += st.HandoffsIn
-		bench.HandoffFails += st.HandoffFails
-		bench.Redirected += st.ClusterRedirected
-		bench.Restored += st.RestoredSessions
 		if st.ClusterEpoch != removeEpoch {
 			epochLag++
 			log.Printf("chaos: %s is at epoch %d, want %d", u, st.ClusterEpoch, removeEpoch)
 		}
+		all = append(all, st)
+	}
+	for _, st := range all {
+		bench.HandoffsOut += st.HandoffsOut
+		bench.HandoffsIn += st.HandoffsIn
+		bench.HandoffFails += st.HandoffFails
+		bench.Redirected += st.ClusterRedirected
 	}
 
 	fmt.Printf("requests: %d  failures: %d  retries: %d  elapsed: %v  throughput: %.0f req/s\n",
 		total, bench.Failures, bench.Retries, elapsed.Round(time.Millisecond), bench.ThroughputRPS)
 	fmt.Printf("latency: p50 %.0fµs  p99 %.0fµs\n", bench.P50Micros, bench.P99Micros)
-	fmt.Printf("membership: epoch %d→%d  handoffs out/in/fail: %d/%d/%d  redirected: %d  restored: %d\n",
-		bench.JoinEpoch, bench.RemoveEpoch, bench.HandoffsOut, bench.HandoffsIn, bench.HandoffFails,
-		bench.Redirected, bench.Restored)
+	fmt.Printf("membership: epoch %d→%d  handoffs out/in/fail: %d/%d/%d  redirected: %d\n",
+		bench.JoinEpoch, bench.RemoveEpoch, bench.HandoffsOut, bench.HandoffsIn, bench.HandoffFails, bench.Redirected)
+	fmt.Printf("warm restart: %.1fms (%d sessions restored), done %v into the load\n",
+		bench.WarmRestartMS, bench.Restored, restartedAt.Sub(start).Round(time.Millisecond))
 	fmt.Printf("watches: %d  frames: %d  resyncs: %d  outer resumes: %d  mutations: %d  mismatches: %d\n",
 		bench.Watches, bench.WatchFrames, bench.WatchResyncs, bench.WatchResumes, bench.Mutations, bench.ReplayMismatches)
 	fmt.Printf("faults injected: drops %d  delays %d  errors %d  truncations %d\n",
@@ -579,6 +675,10 @@ func chaosCurve() {
 	check(epochLag == 0, "%d survivors lag the removal epoch", epochLag)
 	check(bench.HandoffsOut > 0 && bench.HandoffsIn > 0,
 		"no session handoffs engaged (out %d, in %d)", bench.HandoffsOut, bench.HandoffsIn)
+	check(bench.Restored > 0, "the restarted node restored zero sessions — persistence did not engage")
+	check(restartedInLoad, "the restart finished after the load ended")
+	check(pinErr == nil, "the pinned prepared query did not answer after the restart: %v", pinErr)
+	check(bench.Redirected > 0, "zero redirects — the wrong-node target did not engage")
 	check(counters.Total() > 0, "the fault injector never fired")
 	check(bench.WatchFrames > 0, "no watch frames delivered")
 

@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,38 +58,13 @@ func load() {
 	}
 	defer cleanup()
 
-	var (
-		wg       sync.WaitGroup
-		failures atomic.Int64
-		mu       sync.Mutex
-		lats     []time.Duration
-	)
 	start := time.Now()
-	for g := 0; g < *loadClients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < *loadRequests; i++ {
-				t := targets[(g+i)%len(targets)]
-				t0 := time.Now()
-				if err := t.fire(ctx); err != nil {
-					failures.Add(1)
-					log.Printf("client %d %s: %v", g, t.name, err)
-					continue
-				}
-				mu.Lock()
-				lats = append(lats, time.Since(t0))
-				mu.Unlock()
-			}
-		}(g)
-	}
-	wg.Wait()
+	lats, failures, _ := drive(ctx, targets, *loadClients, *loadRequests, 1, new(atomic.Int64))
 	elapsed := time.Since(start)
 
 	total := *loadClients * *loadRequests
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	fmt.Printf("requests: %d  failures: %d  elapsed: %v  throughput: %.0f req/s\n",
-		total, failures.Load(), elapsed.Round(time.Millisecond), float64(len(lats))/elapsed.Seconds())
+		total, failures, elapsed.Round(time.Millisecond), float64(len(lats))/elapsed.Seconds())
 	if len(lats) > 0 {
 		fmt.Printf("latency: p50 %v  p95 %v  max %v\n",
 			lats[len(lats)/2].Round(time.Microsecond),
@@ -102,9 +77,52 @@ func load() {
 			stats.CertCache.Hits, stats.CertCache.Hits+stats.CertCache.Misses,
 			stats.EngineCache.Hits, stats.EngineCache.Hits+stats.EngineCache.Misses)
 	}
-	if failures.Load() > 0 {
+	if failures > 0 {
 		os.Exit(1)
 	}
+}
+
+// drive runs clients goroutines that each fire requests requests,
+// round-robin over targets. A request gets up to attempts tries,
+// soakBackoff apart; one that never succeeds is logged and counted a
+// failure. done counts requests as they finish. It returns the
+// successful tries' latencies, sorted, the failures, and the retries.
+func drive(ctx context.Context, targets []loadTarget, clients, requests, attempts int, done *atomic.Int64) (lats []time.Duration, failures, retries int64) {
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex
+	)
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				t := targets[(g+i)%len(targets)]
+				var err error
+				for try := 0; try < attempts; try++ {
+					if try > 0 {
+						atomic.AddInt64(&retries, 1)
+						time.Sleep(soakBackoff)
+					}
+					t0 := time.Now()
+					if err = t.fire(ctx); err == nil {
+						mu.Lock()
+						lats = append(lats, time.Since(t0))
+						mu.Unlock()
+						break
+					}
+				}
+				if err != nil {
+					atomic.AddInt64(&failures, 1)
+					log.Printf("client %d %s: %v (after %d tries)", g, t.name, err, attempts)
+				}
+				done.Add(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	slices.Sort(lats)
+	return lats, failures, retries
 }
 
 // loadTargets dials the workload databases into server-side sessions

@@ -11,8 +11,6 @@
 //	experiments -run exactcurve [-bench-out BENCH_exact.json]
 //	experiments -run evalcurve [-eval-out BENCH_eval.json]
 //	            [-eval-sizes 1000,10300,103000]
-//	experiments -run cluster [-cluster-out BENCH_cluster.json]
-//	            [-cluster-clients N] [-cluster-requests N]
 //	experiments -run mutatecurve [-mutate-out BENCH_mutate.json]
 //	            [-mutate-sizes 1000,10300,103000]
 //	experiments -run deltacurve [-delta-out BENCH_delta.json]
@@ -38,21 +36,16 @@
 // why-so/why-no/batch endpoints from -load-clients concurrent clients
 // (see load.go). It is excluded from -run all.
 //
-// The cluster experiment is a self-contained chaos soak: it boots a
-// 3-replica consistent-hash ring in-process with per-node snapshot
-// directories, drives the load-generator mix through one node, kills
-// and warm-restarts a replica mid-run, and writes latency percentiles
-// plus the measured warm-restart time to -cluster-out (see
-// cluster.go). It writes a bench file, so it too is excluded from
-// -run all.
-//
-// The chaoscurve experiment is the survivability soak: the same
-// in-process ring under dynamic membership — a node joins mid-run and
-// another is decommissioned and killed — with every client behind a
-// fault-injecting transport and live watch streams that must fold,
-// across every reconnect and handoff, to rankings byte-identical to a
-// cold explain (see chaoscurve.go). It writes -chaos-out, so it is
-// excluded from -run all.
+// The chaoscurve experiment is the cluster soak: a 3-replica
+// consistent-hash ring booted in-process with per-node snapshot
+// directories, under dynamic membership — a node joins mid-run,
+// another is decommissioned and killed, and a survivor is hard-closed
+// and warm-restarted — with every client behind a fault-injecting
+// transport, one target that always enters at the wrong node, and live
+// watch streams that must fold, across every reconnect, handoff and
+// restart, to rankings byte-identical to a cold explain (see
+// chaoscurve.go). It writes latency percentiles and the measured
+// warm-restart time to -chaos-out, so it is excluded from -run all.
 package main
 
 import (
@@ -86,8 +79,6 @@ var parallelism = flag.Int("parallel", 0, "ranking worker count (0 = GOMAXPROCS,
 var benchOut = flag.String("bench-out", "BENCH_exact.json", "output path for the exactcurve baseline")
 
 func main() {
-	run := flag.String("run", "all", "experiment to run (all, fig1, fig2, fig3, fig4, fig6, fig7, fig9, thm415, gap, batch)")
-	flag.Parse()
 	exps := map[string]func(){
 		"fig1":        fig1,
 		"fig2":        fig2,
@@ -102,14 +93,16 @@ func main() {
 		"load":        load,
 		"exactcurve":  exactCurve,
 		"evalcurve":   evalCurve,
-		"cluster":     clusterSoak,
 		"mutatecurve": mutateCurve,
 		"deltacurve":  deltaCurve,
 		"chaoscurve":  chaosCurve,
 	}
-	// load needs a running server, and the curve/cluster experiments
-	// write bench files, so none of them is part of "all".
+	// load needs a running server, and the curve experiments write
+	// bench files, so none of them is part of "all".
 	order := []string{"fig1", "fig2", "fig3", "fig4", "fig6", "fig7", "fig9", "thm415", "gap", "batch"}
+	names := strings.Join(slices.Sorted(maps.Keys(exps)), " ")
+	run := flag.String("run", "all", "experiment to run: all ("+strings.Join(order, " ")+") or one of: "+names)
+	flag.Parse()
 	if *run == "all" {
 		for _, name := range order {
 			exps[name]()
@@ -118,7 +111,7 @@ func main() {
 	}
 	f, ok := exps[*run]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; options: all %s load exactcurve evalcurve cluster mutatecurve deltacurve chaoscurve\n", *run, strings.Join(order, " "))
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; options: all %s\n", *run, names)
 		os.Exit(2)
 	}
 	f()

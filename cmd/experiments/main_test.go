@@ -1,7 +1,10 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -37,5 +40,27 @@ func TestFig9RowOrder(t *testing.T) {
 		if again := fig9Rows(); !reflect.DeepEqual(again, rows) {
 			t.Fatalf("run %d: rows differ:\n%v\nwant:\n%v", run, again, rows)
 		}
+	}
+}
+
+// TestDriveRetriesAndFailures: drive retries a failing request up to
+// its attempt budget, records only successful tries' latencies, and
+// counts a request that never succeeds as one failure.
+func TestDriveRetriesAndFailures(t *testing.T) {
+	flaky := 0
+	targets := []loadTarget{
+		{name: "flaky", fire: func(context.Context) error {
+			if flaky++; flaky < 3 {
+				return errors.New("transient")
+			}
+			return nil
+		}},
+		{name: "broken", fire: func(context.Context) error { return errors.New("down") }},
+	}
+	var done atomic.Int64
+	lats, failures, retries := drive(context.Background(), targets, 1, 2, 3, &done)
+	if len(lats) != 1 || failures != 1 || retries != 4 || done.Load() != 2 {
+		t.Fatalf("drive = %d latencies, %d failures, %d retries, %d done; want 1, 1, 4, 2",
+			len(lats), failures, retries, done.Load())
 	}
 }

@@ -211,9 +211,9 @@
 // longer covers the gap). internal/faultinject drops, delays, errors,
 // and truncates requests at the transport to prove all of it: the
 // differential sweep runs under injected faults, and the chaoscurve
-// soak (cmd/experiments -run chaoscurve) joins and kills nodes under
-// mixed load with live watches, requiring zero unrecovered failures
-// and byte-equal watch replays. See "Operating the cluster" in
+// soak (cmd/experiments -run chaoscurve) joins, kills and
+// warm-restarts nodes under mixed load with live watches, requiring
+// zero unrecovered failures and byte-equal watch replays. See "Operating the cluster" in
 // README.md.
 //
 // # The data plane

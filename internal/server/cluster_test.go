@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -104,8 +107,12 @@ func wrongNodeFor(t *testing.T, urls []string, id string) string {
 
 // TestClusterRedirect: a request for a session at the wrong node gets
 // a 307 pointing at the owner, with the path and query preserved; a
-// redirect-following client completes transparently and gets the
-// owner's answer.
+// redirect-following client (http.NewRequest sets GetBody for byte
+// readers, so net/http re-sends the body on 307) completes
+// transparently and gets the owner's answer. Mutations ride it too: an
+// insert through one non-owner and a delete, of the id that insert
+// minted, through the other both apply at the owner, and explains
+// through either non-owner then agree on the mutated ranking.
 func TestClusterRedirect(t *testing.T) {
 	urls, srvs := startCluster(t, 3, nil)
 	var info DatabaseInfo
@@ -113,51 +120,104 @@ func TestClusterRedirect(t *testing.T) {
 		CreateDatabaseRequest{Database: chainDBText}, &info); code != 201 {
 		t.Fatalf("upload: status %d", code)
 	}
-	wrong := wrongNodeFor(t, urls, info.ID)
-	wrongIdx := 0
-	for i, url := range urls {
-		if url == wrong {
-			wrongIdx = i
-		}
+	// Minting makes the uploading node the owner: nodes 1 and 2 are wrong.
+	if owner := cluster.New(urls).Owner(info.ID); owner != urls[0] {
+		t.Fatalf("session %s owned by %s, want its minting node %s", info.ID, owner, urls[0])
 	}
+	base := "/v1/databases/" + info.ID
+	explain := ExplainRequest{Query: "q(x) :- R(x,y), S(y)", Answer: []string{"a4"}}
 
-	// Raw look at the redirect itself.
 	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	body := `{"query": "q(x) :- R(x,y), S(y)", "answer": ["a4"]}`
-	req, _ := http.NewRequest(http.MethodPost, wrong+"/v1/databases/"+info.ID+"/whyso", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := noFollow.Do(req)
-	if err != nil {
-		t.Fatalf("whyso via wrong node: %v", err)
+	var explained ExplainResponse
+	var inserted, deleted MutateResponse
+	inputs := []struct {
+		method, path string
+		entry        int
+		body, out    any
+	}{
+		{http.MethodPost, base + "/whyso", 1, explain, &explained},
+		// R(a4,a2) gives a4 a second valuation; S(a9) joins nothing.
+		{http.MethodPost, base + "/tuples", 1, InsertTuplesRequest{Tuples: []TupleSpec{
+			{Rel: "R", Args: []string{"a4", "a2"}, Endo: true},
+			{Rel: "S", Args: []string{"a9"}, Endo: true},
+		}}, &inserted},
+		{http.MethodDelete, base + "/tuples/5", 2, nil, &deleted},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("wrong node answered %d, want 307", resp.StatusCode)
-	}
-	loc := resp.Header.Get("Location")
-	if !strings.HasPrefix(loc, urls[0]) || !strings.HasSuffix(loc, "/v1/databases/"+info.ID+"/whyso") {
-		t.Fatalf("redirect Location = %q, want owner %s + original path", loc, urls[0])
-	}
+	for _, in := range inputs {
+		before := srvs[in.entry].clusterRedirected.Load()
 
-	// A following client (http.NewRequest sets GetBody for byte
-	// readers, so net/http re-POSTs the body on 307) gets the ranking.
-	var out ExplainResponse
-	if code := call(t, http.MethodPost, wrong+"/v1/databases/"+info.ID+"/whyso",
-		ExplainRequest{Query: "q(x) :- R(x,y), S(y)", Answer: []string{"a4"}}, &out); code != 200 {
-		t.Fatalf("redirected whyso: status %d", code)
+		// Raw look at the redirect itself: nothing is applied yet.
+		var body io.Reader
+		if in.body != nil {
+			raw, _ := json.Marshal(in.body)
+			body = bytes.NewReader(raw)
+		}
+		req, _ := http.NewRequest(in.method, urls[in.entry]+in.path, body)
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := noFollow.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s via wrong node: %v", in.method, in.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTemporaryRedirect {
+			t.Fatalf("%s %s: wrong node answered %d, want 307", in.method, in.path, resp.StatusCode)
+		}
+		if loc := resp.Header.Get("Location"); loc != urls[0]+in.path {
+			t.Fatalf("%s %s: redirect Location = %q, want owner %s + original path", in.method, in.path, loc, urls[0])
+		}
+
+		if code := call(t, in.method, urls[in.entry]+in.path, in.body, in.out); code != 200 {
+			t.Fatalf("redirected %s %s: status %d", in.method, in.path, code)
+		}
+		if got := srvs[in.entry].clusterRedirected.Load() - before; got != 2 {
+			t.Fatalf("%s %s: entry node's redirect counter rose by %d, want 2", in.method, in.path, got)
+		}
 	}
-	if len(out.Explanations) == 0 {
+	if len(explained.Explanations) == 0 {
 		t.Fatalf("redirected whyso returned no explanations")
 	}
-	if got := srvs[wrongIdx].clusterRedirected.Load(); got < 2 {
-		t.Fatalf("redirect counter = %d, want >= 2", got)
+	if !slices.Equal(inserted.TupleIDs, []int{4, 5}) || inserted.Tuples != 6 || inserted.Version != 6 {
+		t.Fatalf("insert via node 1 = %+v, want tuple_ids [4 5], tuples 6, version 6", inserted)
 	}
+	if deleted.Tuples != 5 || deleted.Version != 7 {
+		t.Fatalf("delete via node 2 = %+v, want tuples 5, version 7", deleted)
+	}
+
+	// The owner applied both mutations; explains through either wrong
+	// node see them, byte for byte alike.
+	var st StatsResponse
+	if code := call(t, http.MethodGet, urls[0]+"/v1/stats", nil, &st); code != 200 {
+		t.Fatalf("owner stats: status %d", code)
+	}
+	if st.MutationsTotal < 2 {
+		t.Fatalf("owner mutations_total = %d, want >= 2", st.MutationsTotal)
+	}
+	var ranked [2][]byte
+	for i, entry := range urls[1:] {
+		var out ExplainResponse
+		if code := call(t, http.MethodPost, entry+base+"/whyso", explain, &out); code != 200 {
+			t.Fatalf("post-mutation whyso via %s: status %d", entry, code)
+		}
+		if len(out.Explanations) != 4 {
+			t.Fatalf("post-mutation whyso via %s: %d causes, want 4 (two valuations of a4)", entry, len(out.Explanations))
+		}
+		ranked[i], _ = json.Marshal(struct {
+			E []ExplanationDTO
+			T map[int]string
+		}{out.Explanations, out.Tuples})
+	}
+	if !bytes.Equal(ranked[0], ranked[1]) {
+		t.Fatalf("post-mutation rankings differ by entry node:\n%s\n%s", ranked[0], ranked[1])
+	}
+
 	// The owner never redirects for its own session.
-	if code := call(t, http.MethodPost, urls[0]+"/v1/databases/"+info.ID+"/whyso",
-		ExplainRequest{Query: "q(x) :- R(x,y), S(y)", Answer: []string{"a4"}}, nil); code != 200 {
+	if code := call(t, http.MethodPost, urls[0]+base+"/whyso", explain, nil); code != 200 {
 		t.Fatalf("owner whyso: status %d", code)
+	}
+	if got := srvs[0].clusterRedirected.Load(); got != 0 {
+		t.Fatalf("owner redirected %d requests for its own session", got)
 	}
 }
 

@@ -75,8 +75,10 @@ func WithDeterministic(on bool) Option { return func(c *config) { c.completionOr
 // (default http.DefaultClient). Ignored by Open.
 func WithHTTPClient(hc *http.Client) Option { return func(c *config) { c.httpClient = hc } }
 
-// WithRetries sets how many extra attempts idempotent GETs get after
-// transport errors or gateway-style statuses on a Dial'ed session's
-// client (default 2; 0 disables). Explain calls are POSTs and are
-// never retried. Ignored by Open.
+// WithRetries sets how many extra attempts a Dial'ed session's client
+// gives an idempotent request — a GET, a DELETE, or a mutation carrying
+// an Idempotency-Key (inserts and deletes generate one) — after a
+// transport error or a transient status (429, 502, 503, 504) (default
+// 2; 0 disables). Explain-family POSTs are never retried. Ignored by
+// Open.
 func WithRetries(n int) Option { return func(c *config) { c.retries = n } }
