@@ -21,6 +21,7 @@ import (
 
 	"github.com/querycause/querycause/internal/cluster"
 	"github.com/querycause/querycause/internal/parser"
+	"github.com/querycause/querycause/internal/persist"
 	"github.com/querycause/querycause/internal/qerr"
 	"github.com/querycause/querycause/internal/server"
 )
@@ -316,19 +317,31 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return c.doKeyed(ctx, method, path, in, out, "")
 }
 
-// doKeyed is do with an optional Idempotency-Key. Retries apply to
-// idempotent requests: GETs, DELETEs, and anything carrying a key
-// (the server dedups keyed mutations, so re-sending one is safe even
-// when the first attempt applied and only its response was lost).
+// body is an encoded request body and its Content-Type; the zero body
+// sends none.
+type body struct {
+	raw         []byte
+	contentType string
+}
+
+// doKeyed is do with an optional Idempotency-Key.
 func (c *Client) doKeyed(ctx context.Context, method, path string, in, out any, idemKey string) error {
-	var raw []byte
+	var b body
 	if in != nil {
-		var err error
-		raw, err = json.Marshal(in)
+		raw, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
+		b = body{raw, "application/json"}
 	}
+	return c.send(ctx, method, path, b, out, idemKey)
+}
+
+// send performs a request, decoding a JSON response into out. Retries
+// apply to idempotent requests: GETs, DELETEs, and anything carrying a
+// key (the server dedups keyed mutations, so re-sending one is safe
+// even when the first attempt applied and only its response was lost).
+func (c *Client) send(ctx context.Context, method, path string, b body, out any, idemKey string) error {
 	attempts := 1
 	if method == http.MethodGet || method == http.MethodDelete || idemKey != "" {
 		attempts += c.retries
@@ -365,7 +378,7 @@ func (c *Client) doKeyed(ctx context.Context, method, path string, in, out any, 
 			url = routed
 		}
 		var retry bool
-		routed, retry, lastErr = c.doOnce(ctx, method, url, raw, in != nil, out, idemKey)
+		routed, retry, lastErr = c.doOnce(ctx, method, url, b, out, idemKey)
 		if lastErr == nil || !retry {
 			break
 		}
@@ -404,20 +417,20 @@ const maxRedirectHops = 4
 // newest topology's owner; exhausting the hop budget twice, once
 // before and once after a topology refresh, is a retryable failure
 // (the topology is still converging).
-func (c *Client) doOnce(ctx context.Context, method, url string, raw []byte, hasBody bool, out any, idemKey string) (routed string, retry bool, err error) {
+func (c *Client) doOnce(ctx context.Context, method, url string, b body, out any, idemKey string) (routed string, retry bool, err error) {
 	loop := make(map[string]bool)
 	refreshed := false
 	for hop := 0; ; hop++ {
-		var body io.Reader
-		if hasBody {
-			body = bytes.NewReader(raw)
+		var rd io.Reader
+		if b.contentType != "" {
+			rd = bytes.NewReader(b.raw)
 		}
-		req, err := http.NewRequestWithContext(ctx, method, url, body)
+		req, err := http.NewRequestWithContext(ctx, method, url, rd)
 		if err != nil {
 			return url, false, err
 		}
-		if hasBody {
-			req.Header.Set("Content-Type", "application/json")
+		if b.contentType != "" {
+			req.Header.Set("Content-Type", b.contentType)
 		}
 		if idemKey != "" {
 			req.Header.Set("Idempotency-Key", idemKey)
@@ -576,16 +589,31 @@ func (c *Client) UploadDatabase(ctx context.Context, text string) (DatabaseInfo,
 	return out, err
 }
 
-// UploadDB registers an in-memory database (serialized with the
-// parser's format) and returns its session handle. It fails without a
-// request if the database holds values the textual format cannot
-// represent (see FormatDatabase).
+// UploadDB registers an in-memory database and returns its session
+// handle. It posts the database's columns — dictionary, code vectors,
+// endo flags and the husks of deleted tuples — in the checksummed
+// envelope querycaused's snapshots use (Content-Type
+// application/x-querycause-columns), so the session's tuple IDs and
+// version equal db's. Unlike the text form, it carries any value,
+// including ones FormatDatabase cannot represent.
 func (c *Client) UploadDB(ctx context.Context, db *Database) (DatabaseInfo, error) {
-	text, err := parser.FormatDatabase(db)
+	data, err := columnsBody(db)
 	if err != nil {
 		return DatabaseInfo{}, err
 	}
-	return c.UploadDatabase(ctx, text)
+	return c.uploadColumns(ctx, data)
+}
+
+// columnsBody encodes db as the body UploadDB posts: its columns in a
+// persist snapshot envelope.
+func columnsBody(db *Database) ([]byte, error) {
+	return persist.Encode(&persist.Snapshot{Columns: db.Columns()})
+}
+
+func (c *Client) uploadColumns(ctx context.Context, data []byte) (DatabaseInfo, error) {
+	var out DatabaseInfo
+	err := c.send(ctx, http.MethodPost, "/v1/databases", body{data, server.ColumnsContentType}, &out, "")
+	return out, err
 }
 
 // ListDatabases lists the live sessions.

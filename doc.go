@@ -31,10 +31,13 @@
 // All explanation goes through the Session interface. Open(db) runs
 // the engine in-process; Dial(ctx, url, db) uploads the database into
 // a querycaused server and serves the same interface over HTTP. The
-// two transports are deliberately indistinguishable — byte-identical
-// rankings, errors.Is-equal failures — and the differential harness
-// (internal/difftest) enforces that equivalence on randomized
-// instances in CI.
+// upload carries the database's columns (dictionary, code vectors,
+// endo flags and the husks of deleted tuples), which the server
+// bulk-loads, so tuple IDs mean the same on both sides even after
+// deletions. The two transports are deliberately indistinguishable —
+// byte-identical rankings, errors.Is-equal failures — and the
+// differential harness (internal/difftest) enforces that equivalence
+// on randomized instances in CI.
 //
 //	sess, _ := qc.Open(db)                        // in-process
 //	// sess, _ := qc.Dial(ctx, serverURL, db)     // same calls over HTTP

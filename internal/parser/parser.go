@@ -277,11 +277,14 @@ func parseTupleLine(line string) (relName string, endo bool, args []rel.Value, e
 // characters (commas, parentheses, quotes, '#', or surrounding
 // whitespace) are quoted. For databases with no deletions,
 // FormatDatabase and ParseDatabase round-trip: parsing the output
-// reproduces the same relations, tuples, IDs, and endo flags (a
-// mutated database re-parses with compacted IDs instead). Values the line-oriented,
-// escape-free grammar cannot represent — ones containing a newline, a
-// carriage return, or both quote characters — are reported as an error
-// rather than silently emitted as unparseable text.
+// reproduces the same relations, tuples, IDs, and endo flags. A
+// database with deletions does not: the text has no husks, so it
+// re-parses with compacted IDs, a smaller version, and possibly another
+// dictionary order; the columnar snapshot form (internal/persist), which
+// Dial uploads, keeps all three. Values the line-oriented, escape-free
+// grammar cannot represent — ones containing a newline, a carriage
+// return, or both quote characters — are reported as an error rather
+// than silently emitted as unparseable text.
 func FormatDatabase(db *rel.Database) (string, error) {
 	var b strings.Builder
 	dict := db.Dict()

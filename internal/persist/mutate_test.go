@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/gob"
 	"reflect"
 	"strings"
 	"testing"
@@ -53,43 +54,70 @@ func TestRoundTripWithDeletions(t *testing.T) {
 	}
 }
 
+// v1Tuple and v1Snapshot are the payload types of a version 1
+// snapshot, written before the Deleted flag existed.
+type v1Tuple struct {
+	Rel  int32
+	Endo bool
+	Args []uint32
+}
+
+type v1Snapshot struct {
+	ID        string
+	Values    []string
+	Relations []string
+	Tuples    []v1Tuple
+}
+
 // TestDecodeAcceptsV1 checks this binary still reads version-1
-// snapshots (written before the Deleted flag existed): the frame
-// version is not checksummed, so rewriting the byte stands in for a
-// file written by an old binary.
+// snapshots: Decode turns their per-tuple list into columns, and the
+// bulk load restores the database the list was written from.
 func TestDecodeAcceptsV1(t *testing.T) {
 	db, err := parser.ParseDatabase(strings.NewReader(dbText))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := &Snapshot{ID: "d1"}
-	snap.SetDatabase(db)
-	data, err := Encode(snap)
-	if err != nil {
+	old := v1Snapshot{ID: "d1"}
+	for c := range db.Dict().Len() {
+		old.Values = append(old.Values, string(db.Dict().Value(uint32(c))))
+	}
+	relIdx := make(map[string]int32)
+	for id := range db.NumTuples() {
+		name := db.RelName(rel.TupleID(id))
+		ri, ok := relIdx[name]
+		if !ok {
+			ri = int32(len(old.Relations))
+			relIdx[name] = ri
+			old.Relations = append(old.Relations, name)
+		}
+		old.Tuples = append(old.Tuples, v1Tuple{Rel: ri, Endo: db.Endo(rel.TupleID(id)), Args: db.AppendCodes(nil, rel.TupleID(id))})
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(old); err != nil {
 		t.Fatal(err)
 	}
-	data[len("QCSN")] = 1
-	back, err := Decode(data)
+	back, err := Decode(frame(1, payload.Bytes()))
 	if err != nil {
 		t.Fatalf("Decode of v1 frame: %v", err)
+	}
+	if !reflect.DeepEqual(back.Columns, db.Columns()) {
+		t.Fatal("v1 snapshot converts to other columns than its database exports")
 	}
 	got, err := back.Database()
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameDatabase(t, db, got)
-	for _, tp := range back.Tuples {
-		if tp.Deleted {
-			t.Fatal("v1 snapshot decoded with Deleted set")
-		}
+	if back.ID != "d1" || back.Version() != db.Version() {
+		t.Fatalf("v1 snapshot decoded as %s at version %d, want d1 at %d", back.ID, back.Version(), db.Version())
 	}
 }
 
-// TestSnapshotOfMutatedDatabase pins SetDatabase, which reads the code
-// vectors, to the Tuples reading of the same database: relation
-// table in first-appearance order, and per tuple its relation, endo
-// flag, deleted flag and argument codes, husks included. Snapshotting
-// the restored database then encodes byte-identically.
+// TestSnapshotOfMutatedDatabase pins the snapshot's columns, a copy of
+// the code vectors, to the Tuples reading of the same database:
+// per tuple ID its relation, endo flag, liveness and argument codes,
+// husks included. Snapshotting the restored database then encodes
+// byte-identically.
 func TestSnapshotOfMutatedDatabase(t *testing.T) {
 	db := testDB(t)
 	husk := db.MustAdd("U", true, "zz", "yy")
@@ -104,28 +132,36 @@ func TestSnapshotOfMutatedDatabase(t *testing.T) {
 
 	snap := &Snapshot{ID: "d1"}
 	snap.SetDatabase(db)
-
-	var rels []string
-	relIdx := make(map[string]int32)
-	var tuples []Tuple
+	c := snap.Columns
+	type row struct {
+		rel   string
+		endo  bool
+		live  bool
+		codes []uint32
+	}
+	fromColumns := make([]row, len(c.Endo))
+	for _, r := range c.Relations {
+		for i, id := range r.IDs {
+			codes := make([]uint32, r.Arity)
+			for j := range codes {
+				codes[j] = r.Cols[j][i]
+			}
+			fromColumns[id] = row{r.Name, c.Endo[id], true, codes}
+		}
+	}
+	for _, h := range c.Husks {
+		fromColumns[h.ID] = row{h.Rel, c.Endo[h.ID], false, h.Codes}
+	}
+	var fromTuples []row
 	for _, tp := range db.Tuples() {
-		ri, ok := relIdx[tp.Rel]
-		if !ok {
-			ri = int32(len(rels))
-			relIdx[tp.Rel] = ri
-			rels = append(rels, tp.Rel)
-		}
-		args := make([]uint32, len(tp.Args))
+		codes := make([]uint32, len(tp.Args))
 		for i, v := range tp.Args {
-			args[i], _ = db.Dict().Code(v)
+			codes[i], _ = db.Dict().Code(v)
 		}
-		tuples = append(tuples, Tuple{Rel: ri, Endo: tp.Endo, Deleted: !db.Live(tp.ID), Args: args})
+		fromTuples = append(fromTuples, row{tp.Rel, tp.Endo, db.Live(tp.ID), codes})
 	}
-	if !reflect.DeepEqual(snap.Relations, rels) {
-		t.Fatalf("relations: snapshot %v, Tuples %v", snap.Relations, rels)
-	}
-	if !reflect.DeepEqual(snap.Tuples, tuples) {
-		t.Fatalf("tuples:\n  snapshot %+v\n  Tuples   %+v", snap.Tuples, tuples)
+	if !reflect.DeepEqual(fromColumns, fromTuples) {
+		t.Fatalf("tuples:\n  columns %+v\n  Tuples  %+v", fromColumns, fromTuples)
 	}
 
 	data, err := Encode(snap)

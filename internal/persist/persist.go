@@ -22,15 +22,24 @@
 // through a temp file + rename, so a crash mid-write leaves the
 // previous snapshot intact.
 //
+// Since version 3 the snapshot holds the database as its columns
+// (Snapshot.Columns, a rel.Columns): the dictionary in code order, each
+// relation's code vectors with its ascending tuple IDs, the endo flags
+// and the husks of deleted tuples. Versions 1 and 2 held one record per
+// tuple; Decode turns that list into the same columns, so every version
+// restores through one bulk load (rel.Load), which rejects columns rel
+// could not have built. The same envelope is the Go client's upload
+// body and the cluster's handoff body.
+//
 // # Determinism
 //
-// The snapshot stores the dictionary in code order and the tuples in
-// TupleID (insertion) order, each argument as its interned code.
-// Replaying rel.Database.Add in that order re-interns values in the
-// identical order, so the restored database has byte-identical
-// dictionary tables, code vectors, and tuple IDs — lineage, cached
-// certificates, and responsibility rankings carry over exactly
-// (persist_test asserts this column by column).
+// The columns are what rel stores, and rel.Load installs them as they
+// are: the restored database has the same dictionary, code vectors,
+// tuple IDs, husks and version as the snapshotted one, so lineage,
+// cached certificates, and responsibility rankings carry over exactly
+// (persist_test asserts this column by column). The columns hold no
+// maps, so within one process the same database always encodes to the
+// same bytes (gob numbers types per process, so not across processes).
 //
 // # Write-behind
 //
@@ -66,11 +75,10 @@ import (
 // Format constants. Version is bumped on any incompatible payload
 // change; old binaries reject newer snapshots with ErrVersion instead
 // of misreading them. Version 2 added the per-tuple Deleted flag
-// (mutable sessions): a v1 binary would silently drop deletions, so
-// the frame version forces the rejection. This binary still reads v1
-// snapshots — a missing Deleted field gob-decodes to false.
+// (mutable sessions); version 3 replaced the per-tuple records with the
+// database's columns. This binary still reads v1 and v2 snapshots.
 const (
-	Version    = 2
+	Version    = 3
 	minVersion = 1
 	magic      = "QCSN"
 	ext        = ".qcs"
@@ -95,13 +103,8 @@ var (
 type Snapshot struct {
 	// ID is the session id ("d12"); it doubles as the file name.
 	ID string
-	// Values is the interning dictionary in code order: Values[c] is
-	// the constant with code c.
-	Values []string
-	// Relations is the relation-name table referenced by Tuples.
-	Relations []string
-	// Tuples lists every tuple in TupleID (insertion) order.
-	Tuples []Tuple
+	// Columns is the database (see rel.Database.Columns).
+	Columns rel.Columns
 	// Queries are the prepared queries in preparation order.
 	Queries []Query
 	// NextQueryID continues the session's q%d id sequence.
@@ -136,17 +139,60 @@ type Idempotency struct {
 	Response []byte
 }
 
-// Tuple is one database row: a relation-table index, the endogenous
-// flag, and the interned code of each argument. Deleted marks a tuple
-// that was removed after insertion: the row is still recorded (its ID
-// slot and any dictionary values it introduced must survive the
-// replay) and Database re-deletes it after the adds, landing on the
-// mutated state at the same version.
-type Tuple struct {
+// tuple is one row of a version 1 or 2 snapshot: a relation-table
+// index, the endogenous flag, and the interned code of each argument.
+// Deleted (version 2) marks a tuple that was removed after insertion.
+type tuple struct {
 	Rel     int32
 	Endo    bool
 	Deleted bool
 	Args    []uint32
+}
+
+// tables is the database of a version 1 or 2 snapshot: the dictionary
+// in code order, the relation-name table, and every tuple in TupleID
+// order.
+type tables struct {
+	Values    []string
+	Relations []string
+	Tuples    []tuple
+}
+
+// columns turns the per-tuple list into the columns rel.Load installs.
+// It checks only what it needs to build them; Load checks the rest.
+func (t *tables) columns() (rel.Columns, error) {
+	c := rel.Columns{Values: make([]rel.Value, len(t.Values)), Endo: make([]bool, len(t.Tuples))}
+	for i, v := range t.Values {
+		c.Values[i] = rel.Value(v)
+	}
+	byName := make(map[string]int)
+	for i, tp := range t.Tuples {
+		if int(tp.Rel) < 0 || int(tp.Rel) >= len(t.Relations) {
+			return rel.Columns{}, fmt.Errorf("persist: tuple %d references relation %d of %d", i, tp.Rel, len(t.Relations))
+		}
+		name := t.Relations[tp.Rel]
+		k, ok := byName[name]
+		if !ok {
+			k = len(c.Relations)
+			byName[name] = k
+			c.Relations = append(c.Relations, rel.RelColumns{Name: name, Arity: len(tp.Args), Cols: make([][]uint32, len(tp.Args))})
+		}
+		rc := &c.Relations[k]
+		if len(tp.Args) != rc.Arity {
+			return rel.Columns{}, fmt.Errorf("persist: tuple %d has %d arguments; relation %s has arity %d", i, len(tp.Args), name, rc.Arity)
+		}
+		c.Endo[i] = tp.Endo
+		if tp.Deleted {
+			c.Husks = append(c.Husks, rel.Husk{ID: rel.TupleID(i), Rel: name, Codes: tp.Args})
+			continue
+		}
+		rc.IDs = append(rc.IDs, rel.TupleID(i))
+		for j, code := range tp.Args {
+			rc.Cols[j] = append(rc.Cols[j], code)
+		}
+	}
+	sort.Slice(c.Relations, func(i, j int) bool { return c.Relations[i].Name < c.Relations[j].Name })
+	return c, nil
 }
 
 // Query is one prepared query: its stable id, canonical text, and the
@@ -165,75 +211,25 @@ type Certificate struct {
 	Paper *rewrite.Certificate
 }
 
-// SetDatabase captures db into the snapshot's dictionary, relation
-// table, and tuple list. Tuples are recorded in TupleID order with
-// their interned argument codes, so Database can replay them into a
-// byte-identical columnar store.
-func (snap *Snapshot) SetDatabase(db *rel.Database) {
-	dict := db.Dict()
-	snap.Values = make([]string, dict.Len())
-	for c := range snap.Values {
-		snap.Values[c] = string(dict.Value(uint32(c)))
-	}
-	relIdx := make(map[string]int32)
-	snap.Relations = snap.Relations[:0]
-	snap.Tuples = make([]Tuple, 0, db.NumTuples())
-	for i := 0; i < db.NumTuples(); i++ {
-		id := rel.TupleID(i)
-		name := db.RelName(id)
-		ri, ok := relIdx[name]
-		if !ok {
-			ri = int32(len(snap.Relations))
-			relIdx[name] = ri
-			snap.Relations = append(snap.Relations, name)
-		}
-		snap.Tuples = append(snap.Tuples, Tuple{Rel: ri, Endo: db.Endo(id), Deleted: !db.Live(id), Args: db.AppendCodes(nil, id)})
-	}
-}
+// SetDatabase captures a copy of db's columns.
+func (snap *Snapshot) SetDatabase(db *rel.Database) { snap.Columns = db.Columns() }
 
-// Database rebuilds the columnar database by replaying the recorded
-// tuples in TupleID order, then re-deleting the ones marked Deleted.
-// Because rel interns values in insertion order and deletions commute,
-// the rebuilt dictionary, code vectors, ID space, and version are
-// byte-identical to the snapshotted ones.
+// Database bulk-loads the snapshot's columns into a new database, equal
+// to the snapshotted one in dictionary, code vectors, tuple IDs, husks
+// and version. The database takes the columns over, so call it once.
 func (snap *Snapshot) Database() (*rel.Database, error) {
-	db := rel.NewDatabase()
-	for i, t := range snap.Tuples {
-		if int(t.Rel) < 0 || int(t.Rel) >= len(snap.Relations) {
-			return nil, fmt.Errorf("persist: tuple %d references relation %d of %d", i, t.Rel, len(snap.Relations))
-		}
-		args := make([]rel.Value, len(t.Args))
-		for j, c := range t.Args {
-			if int(c) >= len(snap.Values) {
-				return nil, fmt.Errorf("persist: tuple %d references value code %d of %d", i, c, len(snap.Values))
-			}
-			args[j] = rel.Value(snap.Values[c])
-		}
-		if _, err := db.Add(snap.Relations[t.Rel], t.Endo, args...); err != nil {
-			return nil, fmt.Errorf("persist: replaying tuple %d: %w", i, err)
-		}
-	}
-	for i, t := range snap.Tuples {
-		if t.Deleted {
-			if err := db.Delete(rel.TupleID(i)); err != nil {
-				return nil, fmt.Errorf("persist: replaying deletion of tuple %d: %w", i, err)
-			}
-		}
+	db, err := rel.Load(snap.Columns)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
 	}
 	return db, nil
 }
 
-// Version is the database version the snapshot restores to: Database
-// replays one add per recorded tuple and one delete per recorded
-// deletion, and rel counts each as one mutation.
+// Version is the database version the snapshot restores to: one add per
+// tuple ID and one delete per husk. It is meaningful only for columns
+// that Database accepts.
 func (snap *Snapshot) Version() uint64 {
-	v := uint64(len(snap.Tuples))
-	for _, t := range snap.Tuples {
-		if t.Deleted {
-			v++
-		}
-	}
-	return v
+	return uint64(len(snap.Columns.Endo) + len(snap.Columns.Husks))
 }
 
 // Store reads and writes session snapshots under one directory.
@@ -358,14 +354,17 @@ func Encode(snap *Snapshot) ([]byte, error) {
 	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
 		return nil, fmt.Errorf("persist: encoding snapshot: %w", err)
 	}
-	body := payload.Bytes()
+	return frame(Version, payload.Bytes()), nil
+}
+
+// frame wraps a payload in the file format's header and checksum.
+func frame(version byte, body []byte) []byte {
 	out := make([]byte, 0, headerLen+len(body)+4)
 	out = append(out, magic...)
-	out = append(out, Version)
+	out = append(out, version)
 	out = binary.BigEndian.AppendUint64(out, uint64(len(body)))
 	out = append(out, body...)
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return out, nil
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
 }
 
 // Decode verifies the frame (magic, version, length, checksum) and
@@ -392,6 +391,19 @@ func Decode(data []byte) (*Snapshot, error) {
 	var snap Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("persist: decoding snapshot: %w", err)
+	}
+	if data[len(magic)] < 3 {
+		// gob matches fields by name: the Snapshot decode above skipped
+		// the per-tuple tables, and this one skips everything else.
+		var t tables
+		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&t); err != nil {
+			return nil, fmt.Errorf("persist: decoding snapshot: %w", err)
+		}
+		c, err := t.columns()
+		if err != nil {
+			return nil, err
+		}
+		snap.Columns = c
 	}
 	return &snap, nil
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -77,11 +78,11 @@ func assertSameDatabase(t *testing.T, want, got *rel.Database) {
 			t.Fatalf("relation %s: want %d/%d rows/arity, got %d/%d", name, wr.Len(), wr.Arity, gr.Len(), gr.Arity)
 		}
 		for c := 0; c < wr.Arity; c++ {
-			if !reflect.DeepEqual(wr.Col(c), gr.Col(c)) {
+			if !slices.Equal(wr.Col(c), gr.Col(c)) {
 				t.Fatalf("relation %s column %d code vectors differ:\nwant %v\ngot  %v", name, c, wr.Col(c), gr.Col(c))
 			}
 		}
-		if !reflect.DeepEqual(wr.RowIDs(), gr.RowIDs()) {
+		if !slices.Equal(wr.RowIDs(), gr.RowIDs()) {
 			t.Fatalf("relation %s row IDs differ: want %v, got %v", name, wr.RowIDs(), gr.RowIDs())
 		}
 	}
@@ -128,9 +129,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 		t.Fatalf("snapshot is not byte-stable across a round-trip (%d vs %d bytes)", len(data), len(data2))
 	}
 	if back.ID != snap.ID || back.NextQueryID != snap.NextQueryID ||
-		!reflect.DeepEqual(back.Values, snap.Values) ||
-		!reflect.DeepEqual(back.Relations, snap.Relations) ||
-		!reflect.DeepEqual(back.Tuples, snap.Tuples) ||
+		!reflect.DeepEqual(back.Columns, snap.Columns) ||
 		!reflect.DeepEqual(back.Queries, snap.Queries) {
 		t.Fatalf("snapshot did not round-trip:\nwant %#v\ngot  %#v", snap, back)
 	}
@@ -170,7 +169,7 @@ func TestStoreSaveLoadDelete(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if back.ID != "d1" || len(back.Tuples) != db.NumTuples() {
+	if back.ID != "d1" || back.Version() != db.Version() {
 		t.Fatalf("loaded snapshot mismatch: %+v", back)
 	}
 	ids, err := st.IDs()

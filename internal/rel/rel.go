@@ -29,6 +29,16 @@
 // Database.Tuple and Database.Tuples build fresh Tuple values on each
 // call for callers that want a row as a struct.
 //
+// Database.Columns exports this state whole: the dictionary in code
+// order, each relation's code vectors with their ascending tuple IDs,
+// the endo flags and the husks of deleted tuples. Load installs such
+// Columns as a database in one bulk step, with no per-tuple Add and no
+// per-value interning, after checking that Add and Delete could have
+// built them; the loaded database equals the exported one in
+// dictionary, IDs, husks and Version. Snapshot restore, cluster handoff
+// and the Go client's upload all build databases this way
+// (internal/persist encodes the Columns).
+//
 // # Evaluation
 //
 // A Valuation is its witness list: one tuple ID per query atom. The
@@ -50,10 +60,10 @@
 // Version counts mutations (adds + deletes); replaying the same
 // mutation sequence into a fresh database reproduces the dictionary,
 // the column vectors, and the version bit-for-bit, which is what the
-// persist layer and the incremental-vs-cold-rebuild differential rely
-// on. Mutations are not safe concurrently with readers; callers that
-// share a database across goroutines (the explanation server) serialize
-// mutations against evaluation with their own lock.
+// incremental-vs-cold-rebuild differential relies on. Mutations are
+// not safe concurrently with readers; callers that share a database
+// across goroutines (the explanation server) serialize mutations
+// against evaluation with their own lock.
 package rel
 
 import (

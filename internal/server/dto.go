@@ -12,6 +12,13 @@ type CreateDatabaseRequest struct {
 	Database string `json:"database"`
 }
 
+// ColumnsContentType marks a POST /v1/databases body holding the
+// database's columns in a persist snapshot envelope (persist.Encode of a
+// Snapshot whose Columns alone are set), the form the Go client
+// uploads. Unlike the text form it keeps the husks of deleted tuples,
+// so tuple IDs and the version carry over.
+const ColumnsContentType = "application/x-querycause-columns"
+
 // DatabaseInfo describes one registered session. Tuples counts live
 // tuples only; Version is the mutation version (uploaded tuples plus
 // every insert and delete since), so two sessions with equal history

@@ -67,8 +67,8 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ClusterNodeRequest
-	if err := decodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
 	if err := validNodeURL(req.URL); err != nil {
@@ -166,8 +166,8 @@ func (s *Server) handleClusterTopology(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var topo cluster.Topology
-	if err := decodeJSON(r, s.cfg.MaxBodyBytes, &topo); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &topo); err != nil {
+		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
 	if s.cluster.ring.Apply(topo) {
@@ -192,9 +192,9 @@ func (s *Server) handleSessionTransfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("db")
-	data, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading snapshot: %v", err)
+		writeError(w, bodyStatus(err), "reading snapshot: %v", err)
 		return
 	}
 	snap, err := persist.Decode(data)
@@ -218,7 +218,18 @@ func (s *Server) handleSessionTransfer(w http.ResponseWriter, r *http.Request) {
 			snap, install = held, false
 		}
 	}
+	// Rebuild before persisting: a snapshot that cannot be restored must
+	// not reach the store, where the next restart would meet it.
+	var sess *session
+	if install {
+		if sess, err = s.reg.rebuild(snap); err != nil {
+			writeError(w, http.StatusUnprocessableEntity, "restoring session %s: %v", id, err)
+			return
+		}
+	}
 	if s.store != nil {
+		// Nothing mutates the rebuilt database, which now owns the
+		// snapshot's columns, before it is registered below.
 		snap.Holder = s.cluster.self
 		if err := s.store.Save(snap); err != nil {
 			writeError(w, http.StatusInternalServerError, "persisting session %s: %v", id, err)
@@ -227,11 +238,7 @@ func (s *Server) handleSessionTransfer(w http.ResponseWriter, r *http.Request) {
 	}
 	if install {
 		s.reg.remove(id)
-		sess, err := s.reg.restore(snap)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "restoring session %s: %v", id, err)
-			return
-		}
+		sess = s.reg.register(sess)
 		// A flush of the displaced copy may be in flight.
 		s.markDirty(sess)
 		s.handoffsIn.Add(1)

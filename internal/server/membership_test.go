@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/querycause/querycause/internal/cluster"
 	"github.com/querycause/querycause/internal/persist"
+	"github.com/querycause/querycause/internal/rel"
 )
 
 // bootExtra starts one additional replica as a single-node cluster —
@@ -442,5 +444,31 @@ func TestIdempotentMutationReplay(t *testing.T) {
 	// really is gone.
 	if resp, _ := send(http.MethodDelete, delURL, "", ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unkeyed re-delete: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRefusedHandoffIsNotPersisted: a handoff whose columns the load
+// refuses is answered 422 and leaves nothing in the store, so a restart
+// never meets it.
+func TestRefusedHandoffIsNotPersisted(t *testing.T) {
+	st := testStore(t)
+	urls, _ := startCluster(t, 1, func(_ int, cfg *Config) { cfg.Persist, cfg.PersistInterval = st, -1 })
+	snap := &persist.Snapshot{ID: "d9"}
+	snap.Columns.Relations = []rel.RelColumns{{Name: "V", Arity: 1, Cols: [][]uint32{nil}}}
+	data, err := persist.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodPut, urls[0]+"/v1/cluster/sessions/d9", bytes.NewReader(data))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("handoff of unloadable columns: status %d, want 422", resp.StatusCode)
+	}
+	if ids, err := st.IDs(); err != nil || len(ids) != 0 {
+		t.Fatalf("store holds %v (err %v) after a refused handoff, want nothing", ids, err)
 	}
 }

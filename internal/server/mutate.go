@@ -279,8 +279,8 @@ func (s *Server) handleInsertTuples(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sessRelease()
 	var req InsertTuplesRequest
-	if err := decodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
 	idemKey := r.Header.Get(idempotencyHeader)

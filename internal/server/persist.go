@@ -91,6 +91,16 @@ func sessionSeq(id string) int {
 // byte-identical to the snapshotted ones; per-answer engines rebuild
 // on demand.
 func (r *registry) restore(snap *persist.Snapshot) (*session, error) {
+	s, err := r.rebuild(snap)
+	if err != nil {
+		return nil, err
+	}
+	return r.register(s), nil
+}
+
+// rebuild builds the session a snapshot holds without registering it.
+// The session's database takes over the snapshot's columns.
+func (r *registry) rebuild(snap *persist.Snapshot) (*session, error) {
 	db, err := snap.Database()
 	if err != nil {
 		return nil, err
@@ -151,19 +161,24 @@ func (r *registry) restore(snap *persist.Snapshot) (*session, error) {
 		s.byID[pq.id] = pq
 		s.prepared.Put(pq.key, pq)
 	}
+	return s, nil
+}
 
+// register adds a rebuilt session to the registry, or returns the live
+// session already registered under its id.
+func (r *registry) register(s *session) *session {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if live, ok := r.sessions[snap.ID]; ok {
-		return live, nil
+	if live, ok := r.sessions[s.id]; ok {
+		return live
 	}
 	for len(r.sessions) >= r.maxSessions && r.evictLRULocked() {
 	}
-	if seq := sessionSeq(snap.ID); seq > r.nextID {
+	if seq := sessionSeq(s.id); seq > r.nextID {
 		r.nextID = seq
 	}
 	r.sessions[s.id] = s
-	return s, nil
+	return s
 }
 
 // markDirty flags a session for the write-behind flusher; no-op

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -531,5 +532,59 @@ func TestCloseAbortsBootHandoff(t *testing.T) {
 	srv.Close()
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("Close took %v with a handoff push unanswered", d)
+	}
+}
+
+// TestUnformattableTuplesSurviveRestartAndHandoff: the insert path
+// accepts values and relation names the text format cannot carry, so a
+// session holding them must still restore after a restart and install
+// on a handoff.
+func TestUnformattableTuplesSurviveRestartAndHandoff(t *testing.T) {
+	st := testStore(t)
+	srvA, tsA := newTest(t, persistCfg(st))
+	info := upload(t, tsA, chainDBText)
+	ins := InsertTuplesRequest{Tuples: []TupleSpec{
+		{Rel: "r", Args: []string{"x\ny"}, Endo: true},
+		{Rel: "S", Args: []string{`it's "both"`}},
+	}}
+	if code := call(t, http.MethodPost, tsA.URL+"/v1/databases/"+info.ID+"/tuples", ins, nil); code != 200 {
+		t.Fatalf("insert: status %d", code)
+	}
+	if err := srvA.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	sessA, _ := srvA.reg.get(info.ID)
+	want := sessA.db.Columns()
+
+	srvB, _ := newTest(t, persistCfg(st))
+	if got := srvB.Restored(); got != 1 {
+		t.Fatalf("restored %d sessions at boot, want 1", got)
+	}
+	sessB, ok := srvB.reg.get(info.ID)
+	if !ok || !reflect.DeepEqual(sessB.db.Columns(), want) {
+		t.Fatalf("restart: session %s restored %v, want the columns it was saved with", info.ID, ok)
+	}
+
+	snap, err := srvA.snapshotOf(sessA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := persist.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls, srvs := startCluster(t, 1, nil)
+	req, _ := http.NewRequest(http.MethodPut, urls[0]+"/v1/cluster/sessions/"+info.ID, bytes.NewReader(data))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("handoff: status %d, want 204", resp.StatusCode)
+	}
+	sessC, ok := srvs[0].reg.get(info.ID)
+	if !ok || !reflect.DeepEqual(sessC.db.Columns(), want) {
+		t.Fatalf("handoff: session %s installed %v, want the columns it was sent with", info.ID, ok)
 	}
 }

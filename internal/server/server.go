@@ -105,7 +105,8 @@ type Config struct {
 	// RequestTimeout bounds each explain/batch request, queueing
 	// included. Default 30s.
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds uploaded request bodies. Default 32 MiB.
+	// MaxBodyBytes bounds request bodies; a longer one is answered 413.
+	// Default 32 MiB.
 	MaxBodyBytes int64
 	// Clock overrides time.Now, for eviction tests.
 	Clock func() time.Time
@@ -399,15 +400,25 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, statusOf(err), ErrorResponse{Error: err.Error(), Code: qerr.CodeOf(err)})
 }
 
-// decodeJSON strictly decodes the request body into v; errors are the
-// caller's 400.
-func decodeJSON(r *http.Request, maxBytes int64, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBytes))
+// decodeJSON strictly decodes the request body, read up to maxBytes,
+// into v; the caller answers an error with bodyStatus.
+func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
 	return nil
+}
+
+// bodyStatus is the status answering a request body that could not be
+// read or decoded: 413 when it ran past Config.MaxBodyBytes, 400
+// otherwise.
+func bodyStatus(err error) int {
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // admit applies the worker budget: it blocks until a computation slot
@@ -638,25 +649,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreateDB(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var text string
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		var req CreateDatabaseRequest
-		if err := decodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		text = req.Database
-	} else {
-		raw, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading body: %v", err)
-			return
-		}
-		text = string(raw)
-	}
-	db, err := parser.ParseDatabase(strings.NewReader(text))
+	db, err := s.readDatabase(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "parsing database: %v", err)
+		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
 	if db.NumTuples() == 0 {
@@ -666,6 +661,39 @@ func (s *Server) handleCreateDB(w http.ResponseWriter, r *http.Request) {
 	sess := s.reg.add(db)
 	s.markDirty(sess)
 	writeJSON(w, http.StatusCreated, s.infoOf(sess))
+}
+
+// readDatabase reads an upload body, up to Config.MaxBodyBytes, in any
+// of its three forms: the columnar snapshot envelope the Go client posts
+// (ColumnsContentType), a JSON CreateDatabaseRequest, or raw text.
+func (s *Server) readDatabase(w http.ResponseWriter, r *http.Request) (*rel.Database, error) {
+	ct := r.Header.Get("Content-Type")
+	text := ""
+	if strings.HasPrefix(ct, "application/json") {
+		var req CreateDatabaseRequest
+		if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+			return nil, err
+		}
+		text = req.Database
+	} else {
+		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		if err != nil {
+			return nil, fmt.Errorf("reading body: %w", err)
+		}
+		if strings.HasPrefix(ct, ColumnsContentType) {
+			snap, err := persist.Decode(raw)
+			if err != nil {
+				return nil, err
+			}
+			return snap.Database()
+		}
+		text = string(raw)
+	}
+	db, err := parser.ParseDatabase(strings.NewReader(text))
+	if err != nil {
+		return nil, fmt.Errorf("parsing database: %w", err)
+	}
+	return db, nil
 }
 
 func (s *Server) infoOf(sess *session) DatabaseInfo {
@@ -725,8 +753,8 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PrepareQueryRequest
-	if err := decodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
 	q, err := parser.ParseQuery(req.Query)
@@ -792,8 +820,8 @@ func (s *Server) openExplain(w http.ResponseWriter, r *http.Request, req any, em
 		sessRelease()
 		done()
 	}
-	if err := decodeJSON(r, s.cfg.MaxBodyBytes, req); err != nil && !(emptyOK && errors.Is(err, io.EOF)) {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, req); err != nil && !(emptyOK && errors.Is(err, io.EOF)) {
+		writeError(w, bodyStatus(err), "%v", err)
 		end()
 		return nil, nil, false
 	}

@@ -479,8 +479,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	sess.inflight.Add(1)
 	defer sess.inflight.Add(-1)
 	var req WatchRequest
-	if err := decodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
 	mode, err := core.ParseMode(req.Mode)

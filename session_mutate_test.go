@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -229,6 +230,68 @@ func TestSessionMutate(t *testing.T) {
 		}
 		if err := sess.Delete(ctx, 0); !errors.Is(err, qc.ErrSessionClosed) {
 			t.Errorf("Delete after Close: err = %v; want ErrSessionClosed", err)
+		}
+	})
+}
+
+// TestDialMutatedDatabase: Dial of a database with deletions keeps the
+// shared tuple-ID space. The upload carries the husk of the deleted
+// R(a), so both transports rank the same tuple IDs byte-identically,
+// and Insert and Delete mirror: the server assigns the IDs the local
+// database does.
+func TestDialMutatedDatabase(t *testing.T) {
+	q, err := qc.ParseQuery("q :- R(x), S(x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkDB := func() *qc.Database {
+		db := qc.NewDatabase()
+		db.MustAdd("R", true, "a") // 0, deleted
+		db.MustAdd("R", true, "b") // 1
+		db.MustAdd("S", true, "b") // 2
+		if err := db.Delete(0); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	mutated := func() *qc.Database {
+		db := mkDB()
+		db.MustAdd("R", true, "c") // 3
+		db.MustAdd("S", true, "c") // 4
+		if err := db.Delete(1); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	want, wantAfter := mustJSON(t, localRank(t, mkDB(), q)), mustJSON(t, localRank(t, mutated(), q))
+	rank := func(t *testing.T, sess qc.Session) string {
+		t.Helper()
+		r, err := sess.WhySo(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps, err := r.Rank(context.Background(), qc.WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustJSON(t, exps)
+	}
+	bothTransportsFresh(t, mkDB, func(t *testing.T, sess qc.Session) {
+		ctx := context.Background()
+		if got := rank(t, sess); got != want {
+			t.Fatalf("ranking of the mutated database:\n got %s\nwant %s", got, want)
+		}
+		ids, err := sess.Insert(ctx,
+			qc.TupleSpec{Rel: "R", Args: []string{"c"}, Endo: true},
+			qc.TupleSpec{Rel: "S", Args: []string{"c"}, Endo: true})
+		if err != nil || !slices.Equal(ids, []qc.TupleID{3, 4}) {
+			t.Fatalf("Insert = %v, %v; want ids [3 4]", ids, err)
+		}
+		if err := sess.Delete(ctx, 1); err != nil {
+			t.Fatalf("Delete(1): %v", err)
+		}
+		if got := rank(t, sess); got != wantAfter {
+			t.Fatalf("ranking after Insert and Delete:\n got %s\nwant %s", got, wantAfter)
 		}
 	})
 }

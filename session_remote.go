@@ -12,7 +12,6 @@ import (
 
 	"github.com/querycause/querycause/internal/cluster"
 	"github.com/querycause/querycause/internal/core"
-	"github.com/querycause/querycause/internal/parser"
 	"github.com/querycause/querycause/internal/qerr"
 )
 
@@ -24,9 +23,10 @@ import (
 // control, and worker budget behind it. Close drops the server-side
 // session.
 //
-// The tuple-ID space is shared: the upload preserves tuple order, so
-// TupleIDs in remote Explanations index db exactly as in-process ones
-// do.
+// The tuple-ID space is shared: the upload carries db's columns (see
+// Client.UploadDB), the husks of deleted tuples included, so TupleIDs
+// in remote Explanations index db exactly as in-process ones do, and
+// Insert and Delete keep the two in step.
 //
 // Against a clustered server (see cmd/querycaused -peers), Dial learns
 // the topology from GET /v1/cluster and routes client-side: it uploads
@@ -41,7 +41,7 @@ func Dial(ctx context.Context, baseURL string, db *Database, opts ...Option) (Se
 	if db == nil {
 		return nil, qerr.Tag(qerr.ErrBadInstance, fmt.Errorf("querycause: Dial: nil database"))
 	}
-	text, err := parser.FormatDatabase(db)
+	data, err := columnsBody(db)
 	if err != nil {
 		return nil, err
 	}
@@ -50,12 +50,12 @@ func Dial(ctx context.Context, baseURL string, db *Database, opts ...Option) (Se
 	dctx, cancel := cfg.withTimeout(ctx)
 	defer cancel()
 	if topo, err := c.Cluster(dctx); err == nil && len(topo.Peers) >= 2 {
-		if owner := cluster.New(topo.Peers).Owner(text); owner != "" && owner != c.Base() {
+		if owner := cluster.New(topo.Peers).Owner(string(data)); owner != "" && owner != c.Base() {
 			c = NewClient(owner, cfg.httpClient).SetRetries(cfg.retries)
 		}
 		c.SetFallbacks(topo.Peers)
 	}
-	info, err := c.UploadDatabase(dctx, text)
+	info, err := c.uploadColumns(dctx, data)
 	if err != nil {
 		return nil, err
 	}
