@@ -394,7 +394,6 @@ func BenchmarkAblation_Options(b *testing.B) {
 		{"default", exact.Options{}},
 		{"no-greedy-seed", exact.Options{DisableGreedySeed: true}},
 		{"no-preprocess", exact.Options{DisablePreprocess: true}},
-		{"no-memo", exact.Options{DisableMemo: true}},
 		{"no-packing-bound", exact.Options{DisablePackingBound: true}},
 	} {
 		b.Run(v.name, func(b *testing.B) {

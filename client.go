@@ -125,8 +125,8 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 
 // stopClusterRedirects returns a copy of hc that hands cluster
 // redirects (307/308) back to the caller instead of following them, so
-// doOnce and openStream apply one hop policy to every method; other
-// redirects keep hc's policy.
+// route applies one hop policy to every method; other redirects keep
+// hc's policy.
 func stopClusterRedirects(hc *http.Client) *http.Client {
 	cp := *hc
 	cp.CheckRedirect = func(req *http.Request, via []*http.Request) error {
@@ -409,15 +409,36 @@ func (c *Client) send(ctx context.Context, method, path string, b body, out any,
 // (reroute) and gets one more budget at the owner it names.
 const maxRedirectHops = 4
 
-// doOnce performs one HTTP exchange starting at url; routed is the
-// URL of its last hop and retry reports whether the failure is
-// transient enough for an idempotent retry. A cluster 307/308 is
-// followed without consuming a retry attempt — it is a re-route, not a
-// retry. A second redirect in one request re-pins the client to the
-// newest topology's owner; exhausting the hop budget twice, once
-// before and once after a topology refresh, is a retryable failure
-// (the topology is still converging).
+// doOnce performs one HTTP exchange starting at url and decodes a
+// JSON response into out; routed is the URL of its last hop and retry
+// reports whether the failure is transient enough for an idempotent
+// retry. A cluster 307/308 is followed (see route) without consuming a
+// retry attempt — it is a re-route, not a retry.
 func (c *Client) doOnce(ctx context.Context, method, url string, b body, out any, idemKey string) (routed string, retry bool, err error) {
+	resp, routed, retry, err := c.route(ctx, method, url, b, idemKey)
+	if err != nil {
+		return routed, retry, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return routed, retryableStatus(resp.StatusCode), decodeAPIError(resp)
+	}
+	if out == nil {
+		return routed, false, nil
+	}
+	return routed, false, json.NewDecoder(resp.Body).Decode(out)
+}
+
+// route sends one request starting at target and follows cluster
+// 307/308 redirects: a second redirect in one request re-pins the
+// client to the newest topology's owner (maybeRebase), and exhausting
+// the hop budget twice, once before and once after a topology refresh
+// (reroute), is a retryable failure (the topology is still
+// converging). It returns the first response that is not a redirect,
+// whose body the caller owns, and the URL that answered it. On failure
+// routed is the URL of the last hop and retry reports whether the
+// failure is transient: a transport error or an exhausted hop budget.
+func (c *Client) route(ctx context.Context, method, target string, b body, idemKey string) (resp *http.Response, routed string, retry bool, err error) {
 	loop := make(map[string]bool)
 	refreshed := false
 	for hop := 0; ; hop++ {
@@ -425,9 +446,9 @@ func (c *Client) doOnce(ctx context.Context, method, url string, b body, out any
 		if b.contentType != "" {
 			rd = bytes.NewReader(b.raw)
 		}
-		req, err := http.NewRequestWithContext(ctx, method, url, rd)
+		req, err := http.NewRequestWithContext(ctx, method, target, rd)
 		if err != nil {
-			return url, false, err
+			return nil, target, false, err
 		}
 		if b.contentType != "" {
 			req.Header.Set("Content-Type", b.contentType)
@@ -437,37 +458,29 @@ func (c *Client) doOnce(ctx context.Context, method, url string, b body, out any
 		}
 		resp, err := c.http.Do(req)
 		if err != nil {
-			return url, true, err // transport error: retryable for idempotent requests
+			return nil, target, true, err // transport error: retryable for idempotent requests
 		}
-		if resp.StatusCode == http.StatusTemporaryRedirect || resp.StatusCode == http.StatusPermanentRedirect {
-			loc, lerr := redirectTarget(resp)
-			if lerr != nil {
-				return url, false, lerr
-			}
-			loop[originOf(url)] = true
-			if hop >= maxRedirectHops {
-				if !refreshed {
-					if owned, ok := c.reroute(ctx, url, loop); ok {
-						refreshed, hop, url = true, -1, owned
-						continue
-					}
+		if resp.StatusCode != http.StatusTemporaryRedirect && resp.StatusCode != http.StatusPermanentRedirect {
+			return resp, target, false, nil
+		}
+		loc, err := redirectTarget(resp)
+		if err != nil {
+			return nil, target, false, err
+		}
+		loop[originOf(target)] = true
+		if hop >= maxRedirectHops {
+			if !refreshed {
+				if owned, ok := c.reroute(ctx, target, loop); ok {
+					refreshed, hop, target = true, -1, owned
+					continue
 				}
-				return url, true, fmt.Errorf("querycaused: redirect loop: %s redirected again (to %s) after %d cluster hops; topology still converging", url, loc, hop)
 			}
-			if hop > 0 {
-				c.maybeRebase(loc, resp)
-			}
-			url = loc
-			continue
+			return nil, target, true, fmt.Errorf("querycaused: redirect loop: %s redirected again (to %s) after %d cluster hops; topology still converging", target, loc, hop)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			return url, retryableStatus(resp.StatusCode), decodeAPIError(resp)
+		if hop > 0 {
+			c.maybeRebase(loc, resp)
 		}
-		if out == nil {
-			return url, false, nil
-		}
-		return url, false, json.NewDecoder(resp.Body).Decode(out)
+		target = loc
 	}
 }
 
@@ -764,51 +777,18 @@ func (c *Client) ExplainStream(ctx context.Context, dbID string, sreq StreamExpl
 
 // openStream POSTs raw JSON to path (resolved against the current
 // base) and returns the (streaming) response, following cluster
-// redirects under the same hop policy as doOnce. The caller owns the
-// response body.
+// redirects under route's hop policy. The caller owns the response
+// body.
 func (c *Client) openStream(ctx context.Context, path string, raw []byte) (*http.Response, error) {
-	url := c.Base() + path
-	loop := make(map[string]bool)
-	refreshed := false
-	for hop := 0; ; hop++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.http.Do(req)
-		if err != nil {
-			if ctx.Err() == nil && hop == 0 {
-				// Same failover-on-transport-error policy as doKeyed: the
-				// stream is not re-sent, but the next open from this
-				// client enters through a fallback base.
-				c.rotateBase()
-			}
-			return nil, err
-		}
-		if resp.StatusCode == http.StatusTemporaryRedirect || resp.StatusCode == http.StatusPermanentRedirect {
-			loc, err := redirectTarget(resp)
-			if err != nil {
-				return nil, err
-			}
-			loop[originOf(url)] = true
-			if hop >= maxRedirectHops {
-				if !refreshed {
-					if owned, ok := c.reroute(ctx, url, loop); ok {
-						refreshed, hop, url = true, -1, owned
-						continue
-					}
-				}
-				return nil, fmt.Errorf("querycaused: redirect loop: %s redirected again (to %s) after %d cluster hops; topology still converging", url, loc, hop)
-			}
-			if hop > 0 {
-				c.maybeRebase(loc, resp)
-			}
-			url = loc
-			continue
-		}
-		return resp, nil
+	target := c.Base() + path
+	resp, routed, _, err := c.route(ctx, http.MethodPost, target, body{raw, "application/json"}, "")
+	if err != nil && routed == target && ctx.Err() == nil && errors.As(err, new(*url.Error)) {
+		// The node the stream entered through failed on the transport:
+		// same failover policy as send. The stream is not re-sent, but
+		// the next open from this client enters through a fallback base.
+		c.rotateBase()
 	}
+	return resp, err
 }
 
 // watchMaxFailures caps consecutive failed reconnect attempts before

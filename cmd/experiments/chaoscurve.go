@@ -99,10 +99,12 @@ func bootReplica(ln net.Listener, self string, peers []string, dir string) (*rep
 
 // restartReplica hard-closes rep (its connections drop mid-request;
 // only the write-behind's final flush runs), rebinds its address, and
-// boots it again over its own persist dir with the ring's current
-// membership. A rebooted node starts at epoch 1, so it is then handed
-// the current topology the way a membership change pushes it.
-func restartReplica(ctx context.Context, rep *replica, topo qc.ClusterInfo) (*replica, time.Duration, error) {
+// boots it again over its own persist dir with the peer list it first
+// booted with, which the membership changes since have made stale. A
+// rebooted node starts at epoch 1 over that list, so it must pull the
+// current topology from its peers by itself; restartReplica fails
+// unless it reaches epoch within a few seconds.
+func restartReplica(ctx context.Context, rep *replica, peers []string, epoch uint64) (*replica, time.Duration, error) {
 	rep.hs.Close()
 	rep.srv.Close()
 	time.Sleep(50 * time.Millisecond) // let in-flight requests hit the dead node
@@ -118,20 +120,20 @@ func restartReplica(ctx context.Context, rep *replica, topo qc.ClusterInfo) (*re
 	if err != nil {
 		return nil, 0, fmt.Errorf("rebinding %s: %w", addr, err)
 	}
-	next, boot, err := bootReplica(ln, rep.url, topo.Peers, rep.dir)
+	next, boot, err := bootReplica(ln, rep.url, peers, rep.dir)
 	if err != nil {
 		return nil, 0, err
 	}
-	body, _ := json.Marshal(cluster.Topology{Epoch: topo.Epoch, Nodes: topo.Peers})
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPut, rep.url+"/v1/cluster/topology", bytes.NewReader(body))
-	resp, err := http.DefaultClient.Do(req)
-	if err == nil {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("installing epoch %d on %s: status %d", topo.Epoch, rep.url, resp.StatusCode)
+	probe := qc.NewClient(rep.url, nil)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		info, err := probe.Cluster(ctx)
+		if err == nil && info.Epoch >= epoch {
+			return next, boot, nil
+		}
+		if time.Now().After(deadline) {
+			return next, boot, fmt.Errorf("%s restarted at epoch %d, want %d (err %v)", rep.url, info.Epoch, epoch, err)
 		}
 	}
-	return next, boot, err
 }
 
 // chaosWatch is the folded-state ledger of one live watch: the watcher
@@ -527,7 +529,7 @@ func chaosCurve() {
 		if node2Stats, err = qc.NewClient(urls[2], nil).Stats(ctx); err != nil {
 			log.Fatalf("chaos: stats %s: %v", urls[2], err)
 		}
-		rep, warmRestart, err = restartReplica(ctx, reps[2], topo)
+		rep, warmRestart, err = restartReplica(ctx, reps[2], urls[:n], topo.Epoch)
 		if err != nil {
 			log.Fatalf("chaos: restarting %s: %v", urls[2], err)
 		}

@@ -83,10 +83,9 @@ var ablationRows = []struct {
 	{"default", 32, exact.Options{}},
 	{"no-greedy-seed", 32, exact.Options{DisableGreedySeed: true}},
 	{"no-preprocess", 32, exact.Options{DisablePreprocess: true}},
-	{"no-memo", 32, exact.Options{DisableMemo: true}},
 	{"no-packing-bound", 32, exact.Options{DisablePackingBound: true}},
-	{"index-only (seed/preprocess/memo off)", 32, exact.Options{DisableGreedySeed: true, DisablePreprocess: true, DisableMemo: true}},
-	{"none (all off)", 12, exact.Options{DisableGreedySeed: true, DisablePreprocess: true, DisableMemo: true, DisablePackingBound: true}},
+	{"index-only (seed/preprocess off)", 32, exact.Options{DisableGreedySeed: true, DisablePreprocess: true}},
+	{"none (all off)", 12, exact.Options{DisableGreedySeed: true, DisablePreprocess: true, DisablePackingBound: true}},
 }
 
 // starLineage builds the star-family engine and returns its minimal

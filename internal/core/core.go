@@ -271,19 +271,6 @@ func (e *Engine) WhyNo() bool { return e.whyNo }
 // surviving subset (see internal/server's invalidation rules).
 func (e *Engine) Touches(id rel.TupleID) bool { return e.causeSet[id] }
 
-// Mentions reports whether the engine's bound query references the
-// named relation in any atom. Insertions (and exogenous deletions) can
-// only affect engines whose query mentions the mutated relation, so
-// this is the conservative invalidation predicate for them.
-func (e *Engine) Mentions(relName string) bool {
-	for _, a := range e.q.Atoms {
-		if a.Pred == relName {
-			return true
-		}
-	}
-	return false
-}
-
 // EndoFn returns the endogeneity rule the engine classifies under: a
 // relation is endogenous iff it holds at least one endogenous tuple.
 // Anything that computes certificates on the engine's behalf (e.g. a

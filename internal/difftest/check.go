@@ -120,9 +120,8 @@ var ablationVariants = []struct {
 }{
 	{"no-greedy-seed", exact.Options{DisableGreedySeed: true}},
 	{"no-preprocess", exact.Options{DisablePreprocess: true}},
-	{"no-memo", exact.Options{DisableMemo: true}},
 	{"no-packing-bound", exact.Options{DisablePackingBound: true}},
-	{"none", exact.Options{DisableGreedySeed: true, DisablePreprocess: true, DisableMemo: true, DisablePackingBound: true}},
+	{"none", exact.Options{DisableGreedySeed: true, DisablePreprocess: true, DisablePackingBound: true}},
 }
 
 // CheckStats reports which oracles a CheckInstance call exercised.

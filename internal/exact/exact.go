@@ -21,7 +21,7 @@
 // "chosen" are bitset words, coverage is maintained incrementally by
 // per-target hit counters (never rescanned per node), and branching
 // is over the uncovered target with the fewest alternatives. On top
-// of the core, four independently toggleable optimizations (Options):
+// of the core, three independently toggleable optimizations (Options):
 //
 //   - per-subproblem preprocessing: duplicate/superset target
 //     elimination, unit propagation for singleton targets, and
@@ -29,9 +29,6 @@
 //   - a greedy seed: GreedyMinContingency's solution primes the upper
 //     bound, shared across all protected-conjunct subproblems, which
 //     are searched best-first by greedy estimate;
-//   - a memo table keyed by the uncovered-target signature, collapsing
-//     the symmetric subtrees of self-similar families like the star
-//     h₁*;
 //   - a disjoint-target packing lower bound (one AND-popcount pass
 //     per node).
 //
@@ -64,9 +61,6 @@ type Options struct {
 	// duplicate/superset target elimination, unit propagation for
 	// singleton targets, and element-dominance removal.
 	DisablePreprocess bool
-	// DisableMemo turns off the memo table keyed by the
-	// uncovered-target signature (symmetric subtrees are re-searched).
-	DisableMemo bool
 	// DisableGreedySeed turns off seeding the upper bound with the
 	// greedy solution and the best-first ordering of protected
 	// conjuncts by greedy estimate.

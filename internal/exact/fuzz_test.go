@@ -40,9 +40,8 @@ var fuzzVariants = []Options{
 	{},
 	{DisableGreedySeed: true},
 	{DisablePreprocess: true},
-	{DisableMemo: true},
 	{DisablePackingBound: true},
-	{DisableGreedySeed: true, DisablePreprocess: true, DisableMemo: true, DisablePackingBound: true},
+	{DisableGreedySeed: true, DisablePreprocess: true, DisablePackingBound: true},
 }
 
 // FuzzExactIndex drives the indexed branch-and-bound over arbitrary

@@ -2,7 +2,7 @@
 // forbidden elements over a lineage.Index, one subproblem per
 // protected conjunct, with the upper bound shared across subproblems.
 // All hot-path state lives in preallocated slices and bitset words —
-// the search itself allocates only memo keys.
+// the search itself allocates only new incumbents.
 
 package exact
 
@@ -13,11 +13,6 @@ import (
 
 	"github.com/querycause/querycause/internal/lineage"
 )
-
-// memoCap bounds the per-subproblem memo table so adversarial inputs
-// cannot exhaust memory; entries beyond the cap are searched without
-// memoization (still sound, just slower).
-const memoCap = 1 << 21
 
 // searcher holds one MinContingencySetIndex call's state: the shared
 // upper bound (best/bestSet, in slots) and the per-subproblem scratch.
@@ -177,11 +172,6 @@ func (s *searcher) searchProtection(p int) {
 	packUsed := ix.NewSlotBits()
 	chosen := make([]uint32, 0, 16)
 	uncov := m
-	var memo map[string]int
-	if !s.opts.DisableMemo {
-		memo = make(map[string]int)
-	}
-	var keyBuf []byte
 
 	var rec func(depth int)
 	rec = func(depth int) {
@@ -191,15 +181,6 @@ func (s *searcher) searchProtection(p int) {
 		if uncov == 0 {
 			s.record(forced, chosen)
 			return
-		}
-		if memo != nil {
-			keyBuf = covered.AppendKey(keyBuf[:0])
-			if prev, seen := memo[string(keyBuf)]; seen && prev <= depth {
-				return
-			}
-			if len(memo) < memoCap {
-				memo[string(keyBuf)] = depth
-			}
 		}
 		// One pass over the targets: pick the uncovered target with the
 		// fewest alternatives for branching and greedily pack

@@ -107,17 +107,6 @@ func (b Bits) Count() int {
 	return n
 }
 
-// AppendKey appends a fixed-width byte encoding of b to dst, for use
-// as a map key (e.g. the solver's uncovered-signature memo table).
-func (b Bits) AppendKey(dst []byte) []byte {
-	for _, w := range b {
-		dst = append(dst,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	return dst
-}
-
 // Index interns a DNF's tuple IDs into dense uint32 slots and
 // precomputes, per conjunct, the slot list and slot bitset, plus the
 // element→conjuncts occurrence index. Slot order follows ascending

@@ -46,9 +46,6 @@ func TestBitsBasics(t *testing.T) {
 	if b.Count() != 0 {
 		t.Fatal("Zero failed")
 	}
-	if len(b.AppendKey(nil)) != 8*len(b) {
-		t.Fatal("AppendKey width wrong")
-	}
 }
 
 // TestIndexRoundTrip checks the interning against the DNF it came

@@ -98,6 +98,19 @@ func (q *Query) Vars() []string {
 // IsBoolean reports whether the query has an empty head.
 func (q *Query) IsBoolean() bool { return len(q.Head) == 0 }
 
+// Mentions reports whether q has an atom over relName. A mutation of a
+// relation q does not mention cannot change q's answers or their
+// causes, so this is the conservative affected-check of cache
+// invalidation and watch fanout.
+func (q *Query) Mentions(relName string) bool {
+	for _, a := range q.Atoms {
+		if a.Pred == relName {
+			return true
+		}
+	}
+	return false
+}
+
 // HasSelfJoin reports whether any relation name occurs in two atoms.
 func (q *Query) HasSelfJoin() bool {
 	seen := make(map[string]bool)

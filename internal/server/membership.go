@@ -178,6 +178,76 @@ func (s *Server) handleClusterTopology(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ClusterChangeResponse{Epoch: cur.Epoch, Nodes: cur.Nodes})
 }
 
+// joinRing brings a booting node up to date with the ring: it installs
+// the newest topology its peers hold, then hands the sessions it
+// restored but no longer owns to their owners (see handOffRestored), or,
+// when it restored none but the ring moved, rebalances the sessions
+// minted meanwhile.
+func (s *Server) joinRing(restored bool) {
+	defer s.bg.Done()
+	moved := s.pullTopology()
+	if restored {
+		s.handOffRestored()
+	} else if moved {
+		s.rebalance(false)
+	}
+}
+
+// pullTopology asks every other member of its ring for its topology
+// (GET /v1/cluster) and installs the newest. A node boots at epoch 1
+// over its configured peers, so one restarted after a membership change
+// it missed would otherwise route by a stale ring until the next change
+// pushes one. The pass repeats, with backoff, until some peer answers
+// (or there is none to ask) or the server closes; it reports whether a
+// newer topology was installed.
+func (s *Server) pullTopology() bool {
+	for delay := handoffRetryBase; ; delay = min(2*delay, handoffRetryCap) {
+		asked, answered, installed := 0, false, false
+		for _, node := range s.cluster.ring.Nodes() {
+			if node == s.cluster.self {
+				continue
+			}
+			asked++
+			topo, ok := s.peerTopology(node)
+			if !ok {
+				continue
+			}
+			answered = true
+			if s.cluster.ring.Apply(topo) {
+				installed = true
+				s.topoChangedAt.Store(time.Now().UnixNano())
+			}
+		}
+		if answered || asked == 0 {
+			return installed
+		}
+		select {
+		case <-s.ctx.Done():
+			return false
+		case <-time.After(delay):
+		}
+	}
+}
+
+// peerTopology fetches node's installed topology; ok is false when the
+// node did not answer with a clustered one.
+func (s *Server) peerTopology(node string) (cluster.Topology, bool) {
+	req, err := http.NewRequestWithContext(s.ctx, http.MethodGet, node+"/v1/cluster", nil)
+	if err != nil {
+		return cluster.Topology{}, false
+	}
+	resp, err := s.cluster.peers.Do(req)
+	if err != nil {
+		return cluster.Topology{}, false
+	}
+	defer resp.Body.Close()
+	var info ClusterResponse
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&info) != nil || len(info.Peers) == 0 {
+		return cluster.Topology{}, false
+	}
+	return cluster.Topology{Epoch: info.Epoch, Nodes: info.Peers}, true
+}
+
 // handleSessionTransfer serves PUT /v1/cluster/sessions/{db}: the
 // receiving half of a handoff. The body is a persist-encoded snapshot
 // of the frozen session; it displaces any copy of the same session this

@@ -158,9 +158,9 @@ func (s *session) invalidateMutation(relName string, endoDeleted rel.TupleID, en
 		if endoDeleted >= 0 && !endoFlipped {
 			stale = eng.Touches(endoDeleted)
 		} else if endoDeleted >= 0 {
-			stale = eng.Touches(endoDeleted) || eng.Mentions(relName)
+			stale = eng.Touches(endoDeleted) || eng.Query().Mentions(relName)
 		} else {
-			stale = eng.Mentions(relName)
+			stale = eng.Query().Mentions(relName)
 		}
 		if !stale {
 			continue

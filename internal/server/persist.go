@@ -226,9 +226,9 @@ func (s *Server) restoreAll() int {
 	return restored
 }
 
-// Boot handoff retry pacing: the first retry follows quickly (the
-// owner is often a peer booting alongside this node), later ones back
-// off to a slow poll of a peer that stays down.
+// Boot retry pacing (topology pull and handoff): the first retry
+// follows quickly (the peer is often booting alongside this node),
+// later ones back off to a slow poll of a peer that stays down.
 const (
 	handoffRetryBase = 100 * time.Millisecond
 	handoffRetryCap  = 5 * time.Second
@@ -243,7 +243,6 @@ const (
 // backoff, until every push it may retry is acknowledged or the server
 // closes.
 func (s *Server) handOffRestored() {
-	defer s.bg.Done()
 	for delay := handoffRetryBase; s.rebalance(true) > 0; delay = min(2*delay, handoffRetryCap) {
 		select {
 		case <-s.ctx.Done():

@@ -333,6 +333,27 @@ func TestRestartWithAddedPeerHandsOffRestored(t *testing.T) {
 	}
 }
 
+// TestRestartPullsCurrentTopology: a node restarted with the peer list
+// it first booted with, after a join it took part in, comes back on the
+// current ring: it installs the newest topology its peers hold instead
+// of starting over at epoch 1 with its old peer list.
+func TestRestartPullsCurrentTopology(t *testing.T) {
+	a, b, c := startRestartable(t), startRestartable(t), startRestartable(t)
+	old := []string{a.url, b.url}
+	a.boot(Config{Peers: old})
+	b.boot(Config{Peers: old})
+	c.boot(Config{Peers: []string{c.url}})
+	var ch ClusterChangeResponse
+	if code := call(t, http.MethodPost, a.url+"/v1/cluster/nodes", ClusterNodeRequest{URL: c.url}, &ch); code != 200 || ch.Epoch != 2 {
+		t.Fatalf("join: status %d, epoch %d; want 200 at epoch 2", code, ch.Epoch)
+	}
+	b.boot(Config{Peers: old})
+	eventually(t, 10*time.Second, func() bool {
+		var topo ClusterResponse
+		return call(t, http.MethodGet, b.url+"/v1/cluster", nil, &topo) == 200 && topo.Epoch == ch.Epoch && len(topo.Peers) == 3
+	}, "the restarted node did not install the current topology")
+}
+
 // TestRestoredHandoffKeepsOwnersCopy: a handoff of a restored snapshot
 // must not roll its owner back. When the owner already holds the
 // session at the same or a newer version (a snapshot store shared by

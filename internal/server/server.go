@@ -299,14 +299,15 @@ func New(cfg Config) *Server {
 		// ids hash onto this node under the topology of the moment.
 		s.reg.owns = func(id string) bool { return ring.Owner(id) == cfg.Self }
 	}
+	restored := 0
 	if cfg.Persist != nil {
 		s.store = cfg.Persist
-		restored := s.restoreAll()
+		restored = s.restoreAll()
 		s.wb = persist.NewWriteBehind(cfg.Persist, persistInterval(cfg.PersistInterval))
-		if s.cluster != nil && restored > 0 {
-			s.bg.Add(1)
-			go s.handOffRestored()
-		}
+	}
+	if s.cluster != nil {
+		s.bg.Add(1)
+		go s.joinRing(restored > 0)
 	}
 	s.routes()
 	if cfg.ReapInterval > 0 {
@@ -317,9 +318,9 @@ func New(cfg Config) *Server {
 }
 
 // Close stops the background goroutines (the idle reaper, a boot
-// handoff still retrying) and the write-behind flusher (running one
-// final flush). In-flight requests are unaffected; use
-// http.Server.Shutdown to drain those.
+// topology pull or handoff still retrying) and the write-behind
+// flusher (running one final flush). In-flight requests are
+// unaffected; use http.Server.Shutdown to drain those.
 func (s *Server) Close() {
 	if s.closed.CompareAndSwap(false, true) {
 		s.cancel()

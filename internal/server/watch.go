@@ -8,15 +8,17 @@
 // reconstructs, at every version, the exact ranking a cold explain
 // would return.
 //
-// The fanout side lives in WatchSet, shared by the HTTP server and the
-// in-process transport (the module root) so both expose identical
-// semantics: ranks are recomputed per affected topic inside the
+// The fanout side lives in WatchSet, the one subscription registry of
+// both the HTTP server and the in-process transport (the module root),
+// so both expose identical semantics: one topic per watched (query,
+// answer, why, mode), keyed with the engine cache's length-prefixed
+// encoding; ranks are recomputed per affected topic inside the
 // mutation's write-lock window (the delta-maintenance layer in
 // internal/delta keeps that cheap), diffed against the topic's last
-// published ranking, and published through a watch.Hub. Slow consumers
-// never block a mutation: a subscriber whose buffer is full is marked
-// lagged and its stream recovers with a full_resync frame instead of a
-// broken diff chain.
+// published ranking, and sent to the topic's subscribers. Slow
+// consumers never block a mutation: a subscriber whose buffer is full
+// is marked lagged and its stream recovers with a full_resync frame
+// instead of a broken diff chain.
 package server
 
 import (
@@ -28,24 +30,35 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/querycause/querycause/internal/core"
 	"github.com/querycause/querycause/internal/qerr"
 	"github.com/querycause/querycause/internal/rel"
-	"github.com/querycause/querycause/internal/watch"
 )
 
 // WatchSet is the per-session subscription registry: one topic per
-// watched (query, answer, why, mode) key, fanned out through a hub.
+// watched (query, answer, why, mode), each holding its subscribers.
 // Every mutation calls Fanout under the session's database write lock,
 // so topic state (last ranking, version) advances atomically with the
 // database and two subscribers of one topic always see the same frame
-// sequence.
+// sequence. mu guards the topics, their subscribers, and every send to
+// and close of a subscriber channel, so no send races a close.
 type WatchSet struct {
 	mu     sync.Mutex
 	topics map[string]*watchTopic
-	hub    *watch.Hub[WatchEvent]
+}
+
+// WatchSub is one subscription: Follow delivers its frames, and
+// Unsubscribe ends it.
+type WatchSub struct {
+	key string
+	ch  chan WatchEvent
+	// lagged marks a frame Fanout dropped on the full channel; the
+	// consumer abandons its diff chain and resyncs (see Follow).
+	lagged atomic.Bool
+	closed bool // guarded by WatchSet.mu
 }
 
 // watchReplayBuffer bounds each topic's ring of recent frames — the
@@ -67,15 +80,18 @@ const defaultWatchBuffer = 16
 
 // watchTopic is the fanout state of one watched explanation.
 type watchTopic struct {
-	// mentions reports whether the watched query reads relName — the
-	// conservative affected-check deciding whether a mutation re-ranks.
-	mentions func(relName string) bool
+	// q is the watched query: a mutation re-ranks the topic when q
+	// mentions a relation it touched (conservative: re-ranking an
+	// unaffected topic reproduces its ranking and diffs to nothing).
+	q *rel.Query
 	// rank recomputes the full current ranking and its tuple table; it
 	// runs under the mutating request's write lock (or the subscriber's
 	// read lock, for the initial snapshot), so it must not take the
 	// database lock.
 	rank func() ([]ExplanationDTO, map[int]string, error)
-	refs int
+	// subs are the live subscriptions; a topic without any is kept
+	// only so a subscriber can resume (see Unsubscribe).
+	subs map[*WatchSub]struct{}
 	// version is the database version the topic last published at; last
 	// is the ranking at that version and tuples its tuple table (always
 	// current, so resyncs and second subscribers never recompute or
@@ -136,25 +152,35 @@ func (t *watchTopic) initialFrames(resumeFrom uint64) []WatchEvent {
 
 // NewWatchSet builds an empty subscription registry.
 func NewWatchSet() *WatchSet {
-	return &WatchSet{topics: make(map[string]*watchTopic), hub: watch.NewHub[WatchEvent]()}
+	return &WatchSet{topics: make(map[string]*watchTopic)}
 }
 
 // Active reports the live subscription count (the watch-budget gauge).
-func (ws *WatchSet) Active() int64 { return ws.hub.Active() }
+func (ws *WatchSet) Active() int {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	n := 0
+	for _, t := range ws.topics {
+		n += len(t.subs)
+	}
+	return n
+}
 
-// Subscribe registers a subscriber on key, creating the topic on first
-// use (which computes the initial ranking via rank — the only eager
-// work; a second subscriber reuses the topic's current state). It
-// returns the subscription and the initial frames to emit first: a
-// snapshot for a fresh subscription, the retained diff frames after
-// resumeFrom for a resume the diff buffer still covers (possibly
-// none), or a single full_resync when the resume point is gone. A
-// buffer ≤ 0 queues defaultWatchBuffer frames. An error means the
-// fresh topic's initial ranking failed; nothing was registered.
-func (ws *WatchSet) Subscribe(key string, buffer int, version uint64, resumeFrom uint64, mentions func(string) bool, rank func() ([]ExplanationDTO, map[int]string, error)) (*watch.Sub[WatchEvent], []WatchEvent, error) {
+// Subscribe registers a subscriber on the topic of q's answer (or, with
+// whyNo, non-answer) ranked in mode, creating the topic on first use
+// (which computes the initial ranking via rank — the only eager work;
+// a second subscriber reuses the topic's current state). It returns
+// the subscription and the initial frames to emit first: a snapshot
+// for a fresh subscription, the retained diff frames after resumeFrom
+// for a resume the diff buffer still covers (possibly none), or a
+// single full_resync when the resume point is gone. A buffer ≤ 0
+// queues defaultWatchBuffer frames. An error means the fresh topic's
+// initial ranking failed; nothing was registered.
+func (ws *WatchSet) Subscribe(q *rel.Query, answer []rel.Value, whyNo bool, mode core.Mode, buffer int, version, resumeFrom uint64, rank func() ([]ExplanationDTO, map[int]string, error)) (*WatchSub, []WatchEvent, error) {
 	if buffer <= 0 {
 		buffer = defaultWatchBuffer
 	}
+	key := engineKey(q.String(), answer, whyNo) + "|" + mode.String()
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	t, ok := ws.topics[key]
@@ -163,11 +189,11 @@ func (ws *WatchSet) Subscribe(key string, buffer int, version uint64, resumeFrom
 		if err != nil {
 			return nil, nil, err
 		}
-		t = &watchTopic{mentions: mentions, rank: rank, version: version, floor: version, last: ranking, tuples: tuples}
+		t = &watchTopic{q: q, rank: rank, subs: make(map[*WatchSub]struct{}), version: version, floor: version, last: ranking, tuples: tuples}
 		ws.topics[key] = t
 	}
-	t.refs++
-	sub := ws.hub.Subscribe(key, buffer)
+	sub := &WatchSub{key: key, ch: make(chan WatchEvent, buffer)}
+	t.subs[sub] = struct{}{}
 	return sub, t.initialFrames(resumeFrom), nil
 }
 
@@ -179,7 +205,7 @@ func (ws *WatchSet) Subscribe(key string, buffer int, version uint64, resumeFrom
 // of the topic's current state; a frame no newer than the last one
 // delivered was superseded by such a resync and is skipped. resumeFrom
 // is the version the subscriber already holds.
-func (ws *WatchSet) Follow(ctx context.Context, key string, sub *watch.Sub[WatchEvent], initial []WatchEvent, resumeFrom uint64, emit func(WatchEvent) bool) error {
+func (ws *WatchSet) Follow(ctx context.Context, sub *WatchSub, initial []WatchEvent, resumeFrom uint64, emit func(WatchEvent) bool) error {
 	last := resumeFrom
 	for _, ev := range initial {
 		if !emit(ev) {
@@ -193,15 +219,15 @@ func (ws *WatchSet) Follow(ctx context.Context, key string, sub *watch.Sub[Watch
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case ev, ok = <-sub.C():
+		case ev, ok = <-sub.ch:
 		}
 		if !ok {
 			return errWatchClosed
 		}
-		if sub.TakeLag() {
+		if sub.lagged.Swap(false) {
 			for drained := false; !drained; {
 				select {
-				case _, ok := <-sub.C():
+				case _, ok := <-sub.ch:
 					if !ok {
 						return errWatchClosed
 					}
@@ -209,7 +235,7 @@ func (ws *WatchSet) Follow(ctx context.Context, key string, sub *watch.Sub[Watch
 					drained = true
 				}
 			}
-			if ev, ok = ws.Resync(key); !ok {
+			if ev, ok = ws.resync(sub.key); !ok {
 				return errWatchDropped
 			}
 		} else if ev.Version <= last {
@@ -227,29 +253,32 @@ var (
 	errWatchDropped = errors.New("watch topic dropped")
 )
 
-// Unsubscribe closes sub. The topic survives its last subscriber
-// (bounded by maxRetainedTopics) so that subscriber can come back with
-// resume_from and replay the frames it missed instead of paying a
-// full re-rank.
-func (ws *WatchSet) Unsubscribe(key string, sub *watch.Sub[WatchEvent]) {
-	sub.Close()
+// Unsubscribe closes sub; a second call is a no-op. The topic survives
+// its last subscriber (bounded by maxRetainedTopics) so that
+// subscriber can come back with resume_from and replay the frames it
+// missed instead of paying a full re-rank.
+func (ws *WatchSet) Unsubscribe(sub *WatchSub) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	t, ok := ws.topics[key]
-	if !ok {
+	if sub.closed {
 		return
 	}
-	if t.refs--; t.refs > 0 {
+	sub.closed = true
+	close(sub.ch)
+	// An open subscription's topic is still registered: only CloseAll
+	// drops a topic with subscribers, and it closes them all.
+	t := ws.topics[sub.key]
+	if delete(t.subs, sub); len(t.subs) > 0 {
 		return
 	}
 	retained := 0
 	for _, other := range ws.topics {
-		if other.refs <= 0 {
+		if len(other.subs) == 0 {
 			retained++
 		}
 	}
 	if retained > maxRetainedTopics {
-		delete(ws.topics, key)
+		delete(ws.topics, sub.key)
 	}
 }
 
@@ -259,9 +288,14 @@ func (ws *WatchSet) Unsubscribe(key string, sub *watch.Sub[WatchEvent]) {
 // resume_from.
 func (ws *WatchSet) CloseAll() {
 	ws.mu.Lock()
-	ws.topics = make(map[string]*watchTopic)
-	ws.mu.Unlock()
-	ws.hub.CloseAll()
+	defer ws.mu.Unlock()
+	for _, t := range ws.topics {
+		for sub := range t.subs {
+			sub.closed = true
+			close(sub.ch)
+		}
+	}
+	clear(ws.topics)
 }
 
 // snapshot renders the topic's current state as a full-state frame:
@@ -274,10 +308,10 @@ func (t *watchTopic) snapshot(typ string) WatchEvent {
 	return WatchEvent{Type: typ, Version: t.version, Ranking: t.last, Tuples: t.tuples}
 }
 
-// Resync returns a full-state frame for key, for consumers that lagged
+// resync returns a full-state frame for key, for consumers that lagged
 // (dropped frames) and must abandon their diff chain. ok=false means
 // the topic is gone.
-func (ws *WatchSet) Resync(key string) (WatchEvent, bool) {
+func (ws *WatchSet) resync(key string) (WatchEvent, bool) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	t, ok := ws.topics[key]
@@ -301,12 +335,12 @@ func (ws *WatchSet) Fanout(version uint64, rels map[string]bool) int {
 	for key, t := range ws.topics {
 		affected := false
 		for r := range rels {
-			if t.mentions(r) {
+			if t.q.Mentions(r) {
 				affected = true
 				break
 			}
 		}
-		if affected && t.refs <= 0 {
+		if affected && len(t.subs) == 0 {
 			// A retained (subscriber-less) topic would need a re-rank here to
 			// stay resumable — explain-sized work inside the mutation's write
 			// lock, with nobody listening. Drop it instead; a later resume
@@ -340,7 +374,14 @@ func (ws *WatchSet) Fanout(version uint64, rels map[string]bool) int {
 			}
 		}
 		t.remember(ev)
-		delivered += ws.hub.Publish(key, ev)
+		for sub := range t.subs {
+			select {
+			case sub.ch <- ev:
+				delivered++
+			default:
+				sub.lagged.Store(true)
+			}
+		}
 	}
 	return delivered
 }
@@ -446,19 +487,6 @@ func equalExplanationDTO(a, b ExplanationDTO) bool {
 		slices.Equal(a.ContingencyIDs, b.ContingencyIDs)
 }
 
-// queryMentions reports whether q has an atom over relName — the
-// conservative affected-check for watch fanout. (Conservative is safe:
-// re-ranking an unaffected topic reproduces the identical ranking and
-// diffs to an empty frame.)
-func queryMentions(q *rel.Query, relName string) bool {
-	for _, a := range q.Atoms {
-		if a.Pred == relName {
-			return true
-		}
-	}
-	return false
-}
-
 func errWatchBudget(sess *session, budget int) error {
 	return qerr.Tag(qerr.ErrBudgetExceeded, fmt.Errorf("session %s over its watch budget (%d subscriptions)", sess.id, budget))
 }
@@ -488,7 +516,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if b := s.cfg.WatchBudget; b > 0 && sess.watch.Active() >= int64(b) {
+	if b := s.cfg.WatchBudget; b > 0 && sess.watch.Active() >= b {
 		s.sessionSheds.Add(1)
 		writeErr(w, errWatchBudget(sess, b))
 		return
@@ -504,7 +532,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	answer := toValues(req.Answer)
-	key := engineKey(queryKey(q, qID), answer, req.WhyNo) + "|" + mode.String()
 	rank := func() ([]ExplanationDTO, map[int]string, error) {
 		// Runs under dbMu (read side for the snapshot, the mutating
 		// request's write side for fanouts), so it takes no database lock
@@ -532,15 +559,14 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errBudget("server at capacity: %v", actx.Err()))
 		return
 	}
-	sub, initial, serr := sess.watch.Subscribe(key, req.Buffer, sess.db.Version(), req.ResumeFrom,
-		func(relName string) bool { return queryMentions(q, relName) }, rank)
+	sub, initial, serr := sess.watch.Subscribe(q, answer, req.WhyNo, mode, req.Buffer, sess.db.Version(), req.ResumeFrom, rank)
 	release()
 	sess.dbMu.RUnlock()
 	if serr != nil {
 		writeErr(w, serr)
 		return
 	}
-	defer sess.watch.Unsubscribe(key, sub)
+	defer sess.watch.Unsubscribe(sub)
 	s.watchesActive.Add(1)
 	defer s.watchesActive.Add(-1)
 
@@ -567,5 +593,5 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// However the stream ends, the client sees it end; a client that
 	// wants to go on reconnects with resume_from.
-	_ = sess.watch.Follow(r.Context(), key, sub, initial, req.ResumeFrom, emit)
+	_ = sess.watch.Follow(r.Context(), sub, initial, req.ResumeFrom, emit)
 }

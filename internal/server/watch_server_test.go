@@ -9,8 +9,12 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
+
+	"github.com/querycause/querycause/internal/core"
+	"github.com/querycause/querycause/internal/rel"
 )
 
 // watchStream is a test client for one watch subscription: it decodes
@@ -286,8 +290,8 @@ func TestWatchSlowConsumerResync(t *testing.T) {
 	state := ApplyWatchEvent(nil, snap)
 
 	// Fire mutations without reading: the handler is blocked writing at
-	// most a frame or two into the response, the hub buffer (1) fills,
-	// and later frames drop.
+	// most a frame or two into the response, the subscription's buffer
+	// (1) fills, and later frames drop.
 	var last MutateResponse
 	for i := 0; i < 8; i++ {
 		last = insertTuples(t, ts.URL, info.ID,
@@ -603,6 +607,16 @@ func TestWatchResumeOntoErroredTopic(t *testing.T) {
 	}
 }
 
+// watchTestQuery is the query the WatchSet unit tests watch answers of.
+var watchTestQuery = &rel.Query{Name: "q", Head: []rel.Term{rel.V("x")}, Atoms: []rel.Atom{{Pred: "R", Terms: []rel.Term{rel.V("x"), rel.V("y")}}}}
+
+// subscribeTest subscribes to watchTestQuery's answer x ranked by rank.
+func subscribeTest(ws *WatchSet, x string, buffer int, version, resumeFrom uint64, rank func() ([]ExplanationDTO, map[int]string, error)) (*WatchSub, []WatchEvent, error) {
+	return ws.Subscribe(watchTestQuery, []rel.Value{rel.Value(x)}, false, core.ModeAuto, buffer, version, resumeFrom, rank)
+}
+
+func noRank() ([]ExplanationDTO, map[int]string, error) { return nil, nil, nil }
+
 // TestWatchReplayRingBounded publishes ten rings' worth of frames into
 // one topic: the ring's backing array must stay at one ring plus the
 // slot an append needs, so aged-out frames are not kept reachable, and
@@ -616,19 +630,18 @@ func TestWatchReplayRingBounded(t *testing.T) {
 	rank := func() ([]ExplanationDTO, map[int]string, error) {
 		return []ExplanationDTO{{TupleID: 1, Rho: 1 / float64(version)}}, nil, nil
 	}
-	mentions := func(string) bool { return true }
-	sub, initial, err := ws.Subscribe("k", 1, version, 0, mentions, rank)
+	sub, initial, err := subscribeTest(ws, "a", 1, version, 0, rank)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws.Unsubscribe("k", sub)
+	defer ws.Unsubscribe(sub)
 	for i := 0; i < 10*watchReplayBuffer; i++ {
 		version++
 		ws.Fanout(version, map[string]bool{"R": true})
 	}
 
 	ws.mu.Lock()
-	top := ws.topics["k"]
+	top := ws.topics[sub.key]
 	ringLen, ringCap, floor := len(top.recent), cap(top.recent), top.floor
 	ws.mu.Unlock()
 	if ringLen != watchReplayBuffer || ringCap > watchReplayBuffer+1 {
@@ -639,11 +652,11 @@ func TestWatchReplayRingBounded(t *testing.T) {
 		t.Fatalf("floor = %d; want %d", floor, version-watchReplayBuffer)
 	}
 
-	resumed, replay, err := ws.Subscribe("k", 1, version, floor, mentions, rank)
+	resumed, replay, err := subscribeTest(ws, "a", 1, version, floor, rank)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws.Unsubscribe("k", resumed)
+	defer ws.Unsubscribe(resumed)
 	if len(replay) != watchReplayBuffer {
 		t.Fatalf("resume from floor replayed %d frames; want %d", len(replay), watchReplayBuffer)
 	}
@@ -670,19 +683,18 @@ func TestWatchReplayRingBounded(t *testing.T) {
 // skipped, and the loop reports why it stopped.
 func TestFollowLagAndSupersede(t *testing.T) {
 	ws := NewWatchSet()
-	noRank := func() ([]ExplanationDTO, map[int]string, error) { return nil, nil, nil }
-	sub, initial, err := ws.Subscribe("k", 2, 1, 0, func(string) bool { return false }, noRank)
+	sub, initial, err := subscribeTest(ws, "a", 2, 1, 0, noRank)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws.Unsubscribe("k", sub)
+	defer ws.Unsubscribe(sub)
 	// A loop that misses the frame it should stop at fails on the
 	// deadline instead of hanging the test.
 	bounded, stop := context.WithTimeout(context.Background(), 10*time.Second)
 	defer stop()
 	var got []string
 	follow := func(ctx context.Context, initial []WatchEvent, from, until uint64) error {
-		return ws.Follow(ctx, "k", sub, initial, from, func(ev WatchEvent) bool {
+		return ws.Follow(ctx, sub, initial, from, func(ev WatchEvent) bool {
 			got = append(got, fmt.Sprintf("%s@%d", ev.Type, ev.Version))
 			return ev.Version < until
 		})
@@ -696,7 +708,7 @@ func TestFollowLagAndSupersede(t *testing.T) {
 	if err := follow(bounded, initial, 0, 4); err != nil {
 		t.Fatalf("%v after frames %v", err, got)
 	}
-	ws.hub.Publish("k", WatchEvent{Type: "diff", Version: 4})
+	sub.ch <- WatchEvent{Type: "diff", Version: 4}
 	ws.Fanout(5, nil)
 	if err := follow(bounded, nil, 4, 5); err != nil {
 		t.Fatalf("%v after frames %v", err, got)
@@ -713,5 +725,127 @@ func TestFollowLagAndSupersede(t *testing.T) {
 	ws.CloseAll()
 	if err := follow(bounded, nil, 5, 99); err != errWatchClosed {
 		t.Fatalf("Follow on a closed subscription returned %v", err)
+	}
+}
+
+// TestWatchSetTopicIsolation: subscribers of one answer share a topic
+// and its frames; a subscriber of another answer of the same query has
+// its own topic, ranked by its own rank function.
+func TestWatchSetTopicIsolation(t *testing.T) {
+	ws := NewWatchSet()
+	version := uint64(1)
+	rankOf := func(id int) func() ([]ExplanationDTO, map[int]string, error) {
+		return func() ([]ExplanationDTO, map[int]string, error) {
+			return []ExplanationDTO{{TupleID: id, Rho: 1 / float64(version)}}, nil, nil
+		}
+	}
+	var subs []*WatchSub
+	for _, x := range []string{"a4", "a4", "a5"} {
+		sub, _, err := subscribeTest(ws, x, 4, version, 0, rankOf(len(subs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ws.Unsubscribe(sub)
+		subs = append(subs, sub)
+	}
+	if n := ws.Active(); n != 3 || len(ws.topics) != 2 {
+		t.Fatalf("Active() = %d over %d topics; want 3 over 2", n, len(ws.topics))
+	}
+	version = 2
+	if n := ws.Fanout(version, map[string]bool{"R": true}); n != 3 {
+		t.Fatalf("Fanout delivered %d frames, want 3", n)
+	}
+	// The a4 topic keeps the first subscriber's rank function: tuple 0.
+	for i, want := range []int{0, 0, 2} {
+		ev := <-subs[i].ch
+		if len(ev.RankChanged) != 1 || ev.RankChanged[0].TupleID != want {
+			t.Fatalf("subscriber %d got %+v; want a rank change of tuple %d", i, ev, want)
+		}
+	}
+}
+
+// TestWatchSetSlowConsumerLags: Fanout never blocks on a full
+// subscriber; it drops the frame and marks the subscription lagged,
+// and the frames still queued are the oldest ones.
+func TestWatchSetSlowConsumerLags(t *testing.T) {
+	ws := NewWatchSet()
+	sub, _, err := subscribeTest(ws, "a", 2, 1, 0, noRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Unsubscribe(sub)
+	delivered := 0
+	for v := uint64(2); v <= 6; v++ {
+		delivered += ws.Fanout(v, nil)
+	}
+	if delivered != 2 {
+		t.Fatalf("Fanout delivered %d frames into a 2-frame buffer", delivered)
+	}
+	if !sub.lagged.Swap(false) {
+		t.Fatal("subscriber with a full buffer must be marked lagged")
+	}
+	for _, want := range []uint64{2, 3} {
+		if ev := <-sub.ch; ev.Version != want {
+			t.Fatalf("queued frame at version %d, want %d", ev.Version, want)
+		}
+	}
+}
+
+// TestWatchSetUnsubscribeIdempotent: Unsubscribe closes the channel,
+// a second call is a no-op, and the subscriber-less topic is retained
+// for a resume but receives nothing.
+func TestWatchSetUnsubscribeIdempotent(t *testing.T) {
+	ws := NewWatchSet()
+	sub, _, err := subscribeTest(ws, "a", 1, 1, 0, noRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws.Unsubscribe(sub)
+	ws.Unsubscribe(sub)
+	if _, ok := <-sub.ch; ok {
+		t.Fatal("channel must be closed after Unsubscribe")
+	}
+	if n := ws.Active(); n != 0 || len(ws.topics) != 1 {
+		t.Fatalf("after Unsubscribe: Active() = %d, %d topics; want 0 and 1 retained", n, len(ws.topics))
+	}
+	if n := ws.Fanout(2, nil); n != 0 {
+		t.Fatalf("Fanout after Unsubscribe delivered %d frames", n)
+	}
+}
+
+// TestWatchSetFanoutRace holds the no-send-after-close contract under
+// the race detector: Fanout racing subscribers that Follow and
+// Unsubscribe, and a CloseAll, never panics, and leaves no
+// subscription counted.
+func TestWatchSetFanoutRace(t *testing.T) {
+	ws := NewWatchSet()
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		sub, initial, err := subscribeTest(ws, fmt.Sprint(i%4), 1, 1, 0, noRank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer ws.Unsubscribe(sub)
+			// Half the subscribers leave after their first live frame, the
+			// rest follow until CloseAll ends them.
+			_ = ws.Follow(context.Background(), sub, initial, 0, func(ev WatchEvent) bool {
+				return ev.Type == "snapshot" || i%2 == 0
+			})
+		}()
+	}
+	for v := uint64(2); v <= 100; v++ {
+		var rels map[string]bool // every third mutation re-ranks
+		if v%3 == 0 {
+			rels = map[string]bool{"R": true}
+		}
+		ws.Fanout(v, rels)
+	}
+	ws.CloseAll()
+	wg.Wait()
+	if n := ws.Active(); n != 0 {
+		t.Fatalf("Active() = %d after every subscription ended", n)
 	}
 }

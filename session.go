@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -328,7 +327,6 @@ func (s *localSession) Watch(ctx context.Context, spec WatchSpec, opts ...Option
 		defer cancel()
 		q := spec.Query
 		answer := append([]Value(nil), spec.Answer...)
-		key := watchKey(q, answer, spec.WhyNo, cfg.mode)
 		rank := func() ([]ExplanationDTO, map[int]string, error) {
 			// Runs under dbMu — the read side for the snapshot, the
 			// mutating call's write side for fanouts — so it takes no
@@ -345,48 +343,21 @@ func (s *localSession) Watch(ctx context.Context, spec WatchSpec, opts ...Option
 			return dtos, tuples, nil
 		}
 		s.dbMu.RLock()
-		sub, initial, err := s.watch.Subscribe(key, spec.Buffer, s.db.Version(), spec.ResumeFrom, func(relName string) bool {
-			for _, a := range q.Atoms {
-				if a.Pred == relName {
-					return true
-				}
-			}
-			return false
-		}, rank)
+		sub, initial, err := s.watch.Subscribe(q, answer, spec.WhyNo, cfg.mode, spec.Buffer, s.db.Version(), spec.ResumeFrom, rank)
 		s.dbMu.RUnlock()
 		if err != nil {
 			yield(DiffEvent{}, err)
 			return
 		}
-		defer s.watch.Unsubscribe(key, sub)
+		defer s.watch.Unsubscribe(sub)
 		emit := func(ev DiffEvent) bool { return yield(ev, nil) }
-		if err := s.watch.Follow(ctx, key, sub, initial, spec.ResumeFrom, emit); err != nil {
+		if err := s.watch.Follow(ctx, sub, initial, spec.ResumeFrom, emit); err != nil {
 			if err != ctx.Err() {
 				err = fmt.Errorf("querycause: %w", err)
 			}
 			yield(DiffEvent{}, err)
 		}
 	}
-}
-
-// watchKey derives the local topic key: watches of the same query,
-// answer, direction, and mode share one topic (and therefore one
-// re-rank per mutation), exactly as on the server.
-func watchKey(q *Query, answer []Value, whyNo bool, mode Mode) string {
-	var b strings.Builder
-	if whyNo {
-		b.WriteString("no:")
-	} else {
-		b.WriteString("so:")
-	}
-	b.WriteString(mode.String())
-	b.WriteByte('|')
-	b.WriteString(q.String())
-	for _, v := range answer {
-		b.WriteByte('\x1f')
-		b.WriteString(string(v))
-	}
-	return b.String()
 }
 
 func (s *localSession) Close() error {

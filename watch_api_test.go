@@ -3,6 +3,7 @@ package querycause_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	qc "github.com/querycause/querycause"
@@ -99,6 +100,50 @@ func TestSessionWatch(t *testing.T) {
 			}
 			if got := mustJSON(t, qc.ApplyDiff(nil, ev)); got != want {
 				t.Errorf("second watch snapshot:\n got %s\nwant %s", got, want)
+			}
+			break
+		}
+	})
+}
+
+// TestWatchKeysDoNotCollide: two answers whose values join to the same
+// string — ("a\x1fb", "c") and ("a", "b\x1fc") — are two topics on both
+// transports, so a watch of the second, opened while the first is live,
+// ranks its own cause and not the first one's.
+func TestWatchKeysDoNotCollide(t *testing.T) {
+	q, err := qc.ParseQuery("q(x,y) :- R(x,y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkDB := func() *qc.Database {
+		db := qc.NewDatabase()
+		db.MustAdd("R", true, "a\x1fb", "c") // 0
+		db.MustAdd("R", true, "a", "b\x1fc") // 1
+		return db
+	}
+	bothTransportsFresh(t, mkDB, func(t *testing.T, sess qc.Session) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		causes := func(ev qc.DiffEvent, err error) []int {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []int
+			for _, d := range ev.Ranking {
+				ids = append(ids, d.TupleID)
+			}
+			return ids
+		}
+		for ev, err := range sess.Watch(ctx, qc.WatchSpec{Query: q, Answer: []qc.Value{"a\x1fb", "c"}}) {
+			if got := causes(ev, err); !slices.Equal(got, []int{0}) {
+				t.Fatalf("first watch ranks causes %v, want [0]", got)
+			}
+			for ev, err := range sess.Watch(ctx, qc.WatchSpec{Query: q, Answer: []qc.Value{"a", "b\x1fc"}}) {
+				if got := causes(ev, err); !slices.Equal(got, []int{1}) {
+					t.Fatalf("second watch ranks causes %v, want [1]", got)
+				}
+				break
 			}
 			break
 		}
